@@ -31,7 +31,7 @@ from deduce_ray import annotators as ann_mod
 from deduce_ray.annotation import AnnotationSet
 from deduce_ray.config import default_config
 from deduce_ray.document import Document
-from deduce_ray.lexicon import DEFAULT_LOOKUP_PATH, load_or_build_lexicon
+from deduce_ray.lexicon import DEFAULT_LOOKUP_PATH, TOKENIZER, Lexicon
 from deduce_ray.linker import DeduceRedactor, assign_entity_ids
 from deduce_ray.person import Person
 from deduce_ray.processors import (
@@ -46,8 +46,102 @@ from deduce_ray.structures import DsCollection
 from deduce_ray.tokenizer import WordTokenizer
 
 
+# annotator types whose constructors read lookup structures: the engine
+# builds them when a dispatch plan first runs them (_PendingAnnotator)
+_LOOKUP_CTOR_TYPES = frozenset({"token_pattern", "context", "multi_token_lookup"})
+
+
+def _pattern_lookups(pattern) -> set[str]:
+    """``lookup`` / ``neg_lookup`` names inside a (nested) pattern spec."""
+    if isinstance(pattern, list):
+        return set().union(*map(_pattern_lookups, pattern))
+    names: set[str] = set()
+    if isinstance(pattern, dict):
+        for key, value in pattern.items():
+            if key in ("lookup", "neg_lookup"):
+                names.add(value)
+            elif key in ("and", "or", "pattern"):
+                names |= _pattern_lookups(value)
+    return names
+
+
+def spec_lookup_names(spec: dict) -> frozenset[str] | None:
+    """The lookup names an annotator spec's stage reads, :data:`TOKENIZER`
+    standing for the tokenizer's merge terms; None when unknown (a
+    ``module.Class`` annotator may read any name)."""
+    kind, args = spec["type"], spec["args"]
+    if kind == "multi_token_lookup":
+        # the trie probes the document's merged tokens
+        return frozenset({args["lookup_values"], TOKENIZER})
+    if kind in ("token_pattern", "context"):
+        return frozenset(_pattern_lookups(args["pattern"]) | {TOKENIZER})
+    if kind == "patient_name":
+        return frozenset({TOKENIZER})
+    if kind in ("regexp", "regexp_pseudo"):
+        # the pre_match_words gate reads the merged-token word set
+        return frozenset({TOKENIZER} if args.get("pre_match_words") else ())
+    if kind in ("bsn", "phone"):
+        return frozenset()
+    return None
+
+
+def _runs(group: str, name: str, enabled, disabled) -> bool:
+    """Whether the enabled/disabled masks let member ``name`` of ``group``
+    run (docdeid semantics: an enabled set names both)."""
+    if enabled is not None and (group not in enabled or name not in enabled):
+        return False
+    return disabled is None or (group not in disabled and name not in disabled)
+
+
+def stage_lookup_names(
+    enabled=None, disabled=None, config: dict | None = None
+) -> frozenset[str] | None:
+    """Union of :func:`spec_lookup_names` over the configured annotators
+    the masks let run; None when one of them declares nothing.  The
+    processors the engine appends read no lookup name."""
+    names: set[str] = set()
+    for name, spec in default_config(config)["annotators"].items():
+        if not _runs(spec["group"], name, enabled, disabled):
+            continue
+        declared = spec_lookup_names(spec)
+        if declared is None:
+            return None
+        names |= declared
+    return frozenset(names)
+
+
+class _PendingAnnotator(ann_mod.Annotator):
+    """Holds the place of a configured annotator whose constructor reads
+    lookup structures, so that building the engine resolves no name.  The
+    engine swaps in the built annotator when a dispatch plan first runs it;
+    annotating through the placeholder builds it too."""
+
+    def __init__(self, build, spec: dict) -> None:
+        super().__init__(
+            spec["args"].get("tag", "_"), spec["args"].get("priority", 0)
+        )
+        self._build = build
+        self._spec = spec
+        self._built: ann_mod.Annotator | None = None
+
+    def build(self) -> ann_mod.Annotator:
+        if self._built is None:
+            self._built = self._build(self._spec)
+        return self._built
+
+    def annotate(self, doc: Document):
+        return self.build().annotate(doc)
+
+
 class DeduceEngine:
-    """The full rule pipeline over single documents."""
+    """The full rule pipeline over single documents.
+
+    The lexicon is resolved on demand (:class:`~deduce_ray.lexicon.Lexicon`):
+    constructing the engine reads no lookup file.  A stage's lookup lists
+    are resolved when the first plan that runs it is built, the merge
+    terms on the first tokenize, so masks whose stages read no lookup list
+    (:func:`spec_lookup_names`) run without the source tree.
+    """
 
     def __init__(
         self,
@@ -58,12 +152,12 @@ class DeduceEngine:
         lexicon: tuple[DsCollection, WordTokenizer] | None = None,
     ) -> None:
         self.config = default_config(config)
-        if lexicon is not None:
-            self.lookup_structs, self.tokenizer = lexicon
-        else:
-            self.lookup_structs, self.tokenizer = load_or_build_lexicon(
+        if lexicon is None:
+            structs = Lexicon(
                 lookup_data_path, cache_dir=cache_dir, build=build_lookup_structs
             )
+            lexicon = (structs, structs.tokenizer)
+        self.lookup_structs, self.tokenizer = lexicon
         self._build_processors()
 
     # ------------------------------------------------------------------
@@ -123,9 +217,11 @@ class DeduceEngine:
         # groups: ordered dict of group name -> list[(name, processor)]
         groups: dict[str, list] = {}
         for name, spec in self.config["annotators"].items():
-            groups.setdefault(spec["group"], []).append(
-                (name, self._make_annotator(spec))
-            )
+            if spec["type"] in _LOOKUP_CTOR_TYPES:
+                proc = _PendingAnnotator(self._make_annotator, spec)
+            else:
+                proc = self._make_annotator(spec)
+            groups.setdefault(spec["group"], []).append((name, proc))
 
         groups.setdefault("names", []).append(
             ("person_annotation_converter", PersonAnnotationConverter())
@@ -291,7 +387,9 @@ class DeduceEngine:
         cached per (mask signature, pipeline layout version).  The version
         is bumped by add_processor / remove_processor — the supported
         surgery API — so plans invalidate without re-walking the groups on
-        every document."""
+        every document.  Building a plan builds the pending annotators it
+        runs, which resolves their lookup names: once per engine, never
+        per document."""
         key = (
             frozenset(enabled) if enabled is not None else None,
             frozenset(disabled) if disabled is not None else None,
@@ -305,15 +403,12 @@ class DeduceEngine:
             return plan
         plan = []
         for group_name, members in self.processor_groups.items():
-            if enabled is not None and group_name not in enabled:
-                continue
-            if disabled is not None and group_name in disabled:
-                continue
-            for name, proc in members:
-                if enabled is not None and name not in enabled:
+            for i, (name, proc) in enumerate(members):
+                if not _runs(group_name, name, enabled, disabled):
                     continue
-                if disabled is not None and name in disabled:
-                    continue
+                if isinstance(proc, _PendingAnnotator):
+                    proc = proc.build()
+                    members[i] = (name, proc)
                 plan.append((self._proc_kind(proc), proc))
         if len(cache) >= 32:
             cache.clear()

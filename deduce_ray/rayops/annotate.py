@@ -2,9 +2,10 @@
 
 Design (SURVEY.md §4.3): ONE fused actor stage runs tokenize -> all enabled
 annotators -> per-doc set processors -> entity linking, emitting flat triple
-rows.  The compiled lexicon (numpy-packed tries, see packed_trie.py) is
-broadcast once via ``ray.put`` on the driver and materialized per actor in
-``__init__`` — never per batch, never re-read from the source tree.
+rows.  The compiled lexicon entries the enabled stages declare (numpy-packed
+tries, see packed_trie.py) are resolved and broadcast once via ``ray.put``
+on the driver and materialized per actor in ``__init__`` — never per
+batch, never re-read from the source tree.
 
 Arrow in / Arrow out; the per-document rule engine is intrinsically
 row-wise (span logic over token chains), so the batch loop is Python, but
@@ -37,19 +38,22 @@ TRIPLE_SCHEMA = pa.schema(
 _BROADCAST_LEXICON_CACHE: dict = {}
 
 
-def broadcast_lexicon(lookup_data_path=None, cache_dir=None):
-    """Compile/load the lexicon on the driver and put it in the object
-    store; returns the ObjectRef handed to every AnnotateBatch actor.
+def broadcast_lexicon(lookup_data_path=None, cache_dir=None, names=()):
+    """Resolve ``names`` of the lexicon on the driver (every name when
+    None) and put that subset in the object store; returns the ObjectRef
+    handed to every AnnotateBatch actor.  The default, no name, reads no
+    lookup file: :func:`extract_triples` re-keys such a ref onto the names
+    its enabled stages declare (:func:`lexicon_ref_for`).
 
-    Memoized per (path, cache_dir) for the life of the driver process:
-    every caller (bench headline, __ray_entry__ queries, user pipelines)
-    must share ONE ObjectRef, because workers key their per-process
-    engine caches on the ref — a second ref for the same lexicon makes
-    every worker re-fetch and re-unpickle the 77 MB object (~1.2 s each)
-    inside whichever stage touches it first."""
+    Memoized per (path, cache_dir, name set) for the life of the Ray
+    session: every caller (bench headline, __ray_entry__ queries, user
+    pipelines) must share ONE ObjectRef per name set, because workers key
+    their per-process engine caches on the ref — a second ref for the same
+    lexicon makes every worker re-fetch and re-unpickle it (~1.2 s each
+    for the full 77 MB) inside whichever stage touches it first."""
     import ray
 
-    from deduce_ray.lexicon import DEFAULT_LOOKUP_PATH, load_or_build_lexicon
+    from deduce_ray.lexicon import DEFAULT_LOOKUP_PATH, Lexicon
 
     path = lookup_data_path if lookup_data_path is not None else DEFAULT_LOOKUP_PATH
 
@@ -64,18 +68,22 @@ def broadcast_lexicon(lookup_data_path=None, cache_dir=None):
             pass
         return None
 
-    base = (str(path), str(cache_dir) if cache_dir is not None else None)
+    names = None if names is None else frozenset(names)
+    base = (str(path), str(cache_dir) if cache_dir is not None else None, names)
     if ray.is_initialized():
         # consult the cache with whatever id we can get — including None
         # when get_job_id itself raises (API drift): in that degraded case
         # every call sees None, so the None-keyed entry still memoizes
         # within the session (a shutdown/init cycle then risks one stale
-        # ref, strictly better than re-broadcasting 77 MB per call)
+        # ref, strictly better than re-broadcasting per call)
         ref = _BROADCAST_LEXICON_CACHE.get(base + (_job_id(),))
         if ref is not None:
             return ref
-    lexicon = load_or_build_lexicon(path, cache_dir=cache_dir)
-    ref = ray.put(lexicon)
+    # a fresh Lexicon: the loaded artifact is dropped with it on return, so
+    # the driver holds no lexicon between broadcasts (one load per name set)
+    lexicon = Lexicon(path, cache_dir=cache_dir)
+    lexicon.resolve(names)
+    ref = ray.put((lexicon, lexicon.tokenizer))
     # re-fetch AFTER ray.put: when this call was the process' first Ray
     # interaction, put() auto-initialized the session — keying the memo on
     # the pre-init None would make every later call miss and re-broadcast,
@@ -84,13 +92,35 @@ def broadcast_lexicon(lookup_data_path=None, cache_dir=None):
     return ref
 
 
+def lexicon_ref_for(lexicon_ref, enabled=None, disabled=None):
+    """The broadcast holding exactly the lookup names that the stages the
+    masks let run declare (:func:`deduce_ray.engine.stage_lookup_names`).
+    A ref made by :func:`broadcast_lexicon` is re-keyed onto that name set
+    of the same source, resolving it on the driver; any other ref is used
+    as given."""
+    from deduce_ray.engine import stage_lookup_names
+
+    if lexicon_ref is None:
+        return None
+    wanted = lexicon_ref.hex()
+    source = next(
+        (key[:2] for key, ref in _BROADCAST_LEXICON_CACHE.items()
+         if ref.hex() == wanted),
+        None,
+    )
+    if source is None:
+        return lexicon_ref
+    return broadcast_lexicon(*source, names=stage_lookup_names(enabled, disabled))
+
+
 class AnnotateBatch:
     """Callable actor class for ``map_batches``.
 
     Args:
         lexicon_ref: ObjectRef from :func:`broadcast_lexicon` (preferred:
-            one object-store copy per node).  If None, the actor loads the
-            fingerprinted cache artifact itself.
+            one object-store copy per node), holding the names the enabled
+            stages declare (:func:`lexicon_ref_for`).  If None, the actor
+            resolves them from the fingerprinted cache artifact itself.
         enabled / disabled: stage masks (group and/or annotator names),
             mirroring the reference's deidentify() contract.
         with_redacted: also emit one row per document with
@@ -304,7 +334,14 @@ def extract_triples(
       only when multi-node block-transfer latency needs pipelining.
       Keep pool size below the node's CPU count or upstream operators
       starve.
+
+    A ``lexicon_ref`` from :func:`broadcast_lexicon` is replaced by the
+    broadcast of just the lookup names the enabled stages declare
+    (:func:`lexicon_ref_for`), resolved here on the driver: a mask whose
+    stages read no lookup list runs without the lookup source tree, and a
+    missing tree fails here rather than inside the workers.
     """
+    lexicon_ref = lexicon_ref_for(lexicon_ref, enabled, disabled)
     if mode == "tasks":
 
         def annotate(batch: pa.Table) -> pa.Table:

@@ -24,7 +24,7 @@ def ray_session():
 
 @pytest.fixture(scope="session")
 def engine():
-    """Full engine with the compiled lexicon (cached across runs)."""
+    """Full engine; its lexicon (cached across runs) resolves on demand."""
     from deduce_ray.engine import DeduceEngine
 
     return DeduceEngine()
