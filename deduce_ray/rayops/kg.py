@@ -18,14 +18,13 @@ Scale notes (north_rule):
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+
+from deduce_ray.sinks import commit_units, completed_units, write_run_manifest
 
 _GRAPH_KEY = ["repo", "lang", "doc_id", "pred", "obj", "entity_id"]
 
@@ -713,9 +712,7 @@ def detect_hot_keys(
     }
 
 
-# single source of truth for the slug escape table: _slug_field (Python)
-# and materialize_graph's drop_done (Arrow) both iterate this list, so the
-# two encodings cannot drift apart.  '%' first: it is the escape character.
+# '%' first: it is the escape character
 _SLUG_ESCAPES = (("%", "%25"), ("/", "%2F"), ("_", "%5F"))
 
 # version of the on-disk unit layout: slug escape format + salt/bucket
@@ -726,35 +723,65 @@ _SLUG_ESCAPES = (("%", "%25"), ("/", "%2F"), ("_", "%5F"))
 _LAYOUT_VERSION = 2
 
 
-def _slug_field(s: str) -> str:
-    """Injective filename-safe field encoding: '%', '/', and '_' are
-    escaped so the '__' joiner can never be produced by field content —
+def _slugs(*cols) -> pa.ChunkedArray:
+    """Injective filename-safe names: each field has '%', '/' and '_'
+    escaped, so the '__' joiner can never be produced by field content —
     without this, repo 'org/x' and repo 'org__x' would collide on one
-    slug and silently overwrite each other's parquet + manifest.  The
-    Arrow-side mirror lives in materialize_graph's drop_done."""
-    for raw, esc in _SLUG_ESCAPES:
-        s = s.replace(raw, esc)
-    return s
+    slug and silently overwrite each other's parquet + manifest."""
+    import pyarrow.compute as pc
+
+    escaped = []
+    for col in cols:
+        col = pc.cast(col, pa.string())
+        for raw, esc in _SLUG_ESCAPES:
+            col = pc.replace_substring(col, raw, esc)
+        escaped.append(col)
+    return pc.binary_join_element_wise(*escaped, "__")
 
 
 def _partition_slug(repo: str, lang: str) -> str:
-    return f"{_slug_field(repo)}__{_slug_field(lang)}"
+    """The directory name of the (repo, lang) partition."""
+    return _slugs(pa.array([repo]), pa.array([lang]))[0].as_py()
 
 
 def completed_partitions(out_dir: str | Path) -> set[str]:
-    manifest_dir = Path(out_dir) / "_manifests"
-    if not manifest_dir.exists():
-        return set()
-    done = set()
-    for mf in manifest_dir.glob("*.json"):
-        try:
-            with open(mf) as fh:
-                manifest = json.load(fh)
-            if manifest.get("complete"):
-                done.add(manifest["partition"])
-        except (json.JSONDecodeError, KeyError):
-            continue
-    return done
+    """Names of the graph units complete under ``out_dir``."""
+    return set(completed_units(out_dir))
+
+
+def _graph_unit(name: str, rows: pa.Table) -> tuple[pa.Table, str, dict]:
+    """One (repo, lang, salt) unit: the final merge of its graph rows,
+    sorted so a re-run reproduces the same file."""
+    partition, salt = name.rsplit("__", 1)
+    graph = (
+        _merge_graph_rows(rows.to_pandas())
+        .sort_values(["doc_id", "first_start_char", "pred", "obj"])
+        .reset_index(drop=True)
+    )
+    # fillna: null doc_id/pred/obj are preserved through dedup by design;
+    # NaN elements would make the string concat NaN and '\n'.join raise
+    # mid-sink
+    content_hash = hashlib.sha256(
+        "\n".join(
+            graph["doc_id"].fillna("")
+            + "|"
+            + graph["pred"].fillna("")
+            + "|"
+            + graph["obj"].fillna("")
+        ).encode()
+    ).hexdigest()
+    fields = {
+        "partition": name,
+        "repo": graph["repo"].iloc[0],
+        "lang": graph["lang"].iloc[0],
+        "salt": int(salt),
+        "rows": int(len(graph)),
+        "docs": int(graph["doc_id"].nunique()),
+        "mentions": int(graph["n_mentions"].sum()),
+        "triples_sha256": content_hash,
+    }
+    table = pa.Table.from_pandas(graph, preserve_index=False)
+    return table, f"{partition}/part-{salt}.parquet", fields
 
 
 def materialize_graph(
@@ -766,7 +793,8 @@ def materialize_graph(
     run_id: str | None = None,
 ):
     """Write the deduplicated triple graph partitioned by (repo, lang), one
-    parquet file + one lineage manifest per (partition, salt) unit.
+    parquet file + one lineage manifest per (partition, salt) unit,
+    through the shared unit committer (:func:`deduce_ray.sinks.commit_units`).
     Returns the metrics dataset (one row per unit written).
 
     Skew: a hot partition (e.g. a monorepo holding 30% of the corpus)
@@ -780,65 +808,25 @@ def materialize_graph(
 
     Resume: units listed complete in ``_manifests/`` are filtered out
     *before* the shuffle, so a restarted run neither recomputes nor
-    rewrites them.  A ``_manifests/_run_<id>.json`` summary records the
+    rewrites them; ``resume=False`` refuses a non-empty ``out_dir``.
+    With ``run_id``, a ``_manifests/_run_<id>.json`` summary records the
     run-level lineage.  Unit manifests record the salting config
-    (hot_keys, n_salts); resuming with a DIFFERENT config is refused,
-    because rows would be re-routed into new salt units while the old
-    part files survive — duplicated graph rows in the output directory.
+    (hot_keys, n_salts) and the unit layout; resuming with a DIFFERENT
+    one is refused, because rows would be re-routed into new units while
+    the old part files survive — duplicated graph rows in the output
+    directory.
     """
-    import pyarrow.compute as pc
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "_manifests").mkdir(exist_ok=True)
-
     salting = {
         "hot_keys": sorted(hot_keys or ()),
         "n_salts": int(n_salts),
     }
-    # ONE manifest scan collects both the config check and the completed
-    # set (a second completed_partitions() pass would re-glob and re-parse
-    # every unit manifest on the driver)
-    done: set[str] = set()
-    if resume:
-        for mf in (out_dir / "_manifests").glob("*.json"):
-            if mf.name.startswith("_run_"):
-                continue
-            try:
-                with open(mf) as fh:
-                    manifest = json.load(fh)
-            except json.JSONDecodeError:
-                continue
-            recorded = manifest.get("salting")
-            if recorded is not None and recorded != salting:
-                raise ValueError(
-                    f"materialize_graph: resume with salting config {salting} "
-                    f"but completed unit {manifest.get('partition')} was "
-                    f"written with {recorded}; clear the output directory or "
-                    "rerun with the original hot_keys/n_salts"
-                )
-            # layout (slug escape format + salt derivation) must match too:
-            # units written under an older layout carry names the current
-            # drop_done can never produce, so resume would silently
-            # recompute them into NEW directories while the old part files
-            # survive — every triple duplicated for any consumer globbing
-            # the output tree
-            recorded_layout = manifest.get("layout", 1)
-            if recorded_layout != _LAYOUT_VERSION:
-                raise ValueError(
-                    f"materialize_graph: output dir was written with unit "
-                    f"layout v{recorded_layout} but this version writes "
-                    f"v{_LAYOUT_VERSION}; resuming would duplicate rows "
-                    "under new unit names — clear the output directory"
-                )
-            if manifest.get("complete") and "partition" in manifest:
-                done.add(manifest["partition"])
+    hot = frozenset(hot_keys or ())
 
     def normalize_keys(batch: pa.Table) -> pa.Table:
-        # partition keys must be non-null strings for slug construction and
+        # partition keys must be non-null strings for unit naming and
         # resume filtering: nulls (preserved through dedup by design) are
         # normalized to '' — they write to a '____<lang>' partition rather
-        # than crashing write_unit or being silently dropped by drop_done
+        # than crashing the sink or being silently dropped on resume
         import pyarrow.compute as pc
 
         for col in ("repo", "lang"):
@@ -862,128 +850,37 @@ def materialize_graph(
         num_cpus=0.9,  # break fusion with the annotate chain (see dedup_triples)
     )
 
-    hot = frozenset(hot_keys or ())
+    def unit_of(batch: pa.Table) -> pa.ChunkedArray:
+        salts = np.zeros(batch.num_rows, dtype=np.int32)
+        if hot:
+            # only rows in hot repos pay the per-row bucket hash; the
+            # common case (no declared hot repos) has no per-row Python loop
+            repos = batch.column("repo").to_pylist()
+            doc_ids = batch.column("doc_id").to_pylist()
+            for i, (r, d) in enumerate(zip(repos, doc_ids)):
+                if r in hot:
+                    salts[i] = _doc_bucket(d, n_salts)
+        return _slugs(batch.column("repo"), batch.column("lang"), pa.array(salts))
 
-    def add_salt(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("salt", pa.array([], type=pa.int32()))
-        if not hot:
-            # common case (no declared hot repos): constant salt 0, no
-            # per-row Python loop on the exchange's input path
-            zeros = np.zeros(batch.num_rows, dtype=np.int32)
-            return batch.append_column("salt", pa.array(zeros))
-        repos = batch.column("repo").to_pylist()
-        doc_ids = batch.column("doc_id").to_pylist()
-        # only rows in hot repos pay the per-row bucket hash; cold rows
-        # are bulk-filled with 0
-        salts = np.zeros(len(repos), dtype=np.int32)
-        for i, (r, d) in enumerate(zip(repos, doc_ids)):
-            if r in hot:
-                salts[i] = _doc_bucket(d, n_salts)
-        return batch.append_column("salt", pa.array(salts))
-
-    salted = combined.map_batches(add_salt, batch_format="pyarrow")
-
-    if done:
-        done_list = pa.array(sorted(done))
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            def esc(col):
-                # Arrow mirror of _slug_field, driven by the same table
-                for raw, escaped in _SLUG_ESCAPES:
-                    col = pc.replace_substring(col, raw, escaped)
-                return col
-
-            slug = pc.binary_join_element_wise(
-                esc(batch.column("repo")),
-                esc(batch.column("lang")),
-                pc.cast(batch.column("salt"), pa.string()),
-                "__",
-            )
-            return batch.filter(pc.invert(pc.is_in(slug, value_set=done_list)))
-
-        salted = salted.map_batches(drop_done, batch_format="pyarrow")
-
-    def write_unit(df):
-        import pandas as pd
-
-        t0 = time.time()
-        repo, lang = df["repo"].iloc[0], df["lang"].iloc[0]
-        salt = int(df["salt"].iloc[0])
-        slug = f"{_partition_slug(repo, lang)}__{salt}"
-
-        graph = (
-            df.groupby(_GRAPH_KEY, as_index=False, dropna=False)
-            .agg(
-                n_mentions=("n_mentions", "sum"),
-                first_start_char=("first_start_char", "min"),
-            )
-            .sort_values(["doc_id", "first_start_char", "pred", "obj"])
-            .reset_index(drop=True)
-        )
-
-        part_dir = out_dir / _partition_slug(repo, lang)
-        part_dir.mkdir(parents=True, exist_ok=True)
-        data_path = part_dir / f"part-{salt}.parquet"
-        tmp_path = part_dir / f".part-{salt}.{os.getpid()}.tmp"
-        graph.to_parquet(tmp_path, index=False)
-        os.replace(tmp_path, data_path)
-
-        # fillna: null doc_id/pred/obj are preserved through dedup by
-        # design; NaN elements would make the string concat NaN and
-        # '\n'.join raise mid-sink
-        content_hash = hashlib.sha256(
-            "\n".join(
-                graph["doc_id"].fillna("")
-                + "|"
-                + graph["pred"].fillna("")
-                + "|"
-                + graph["obj"].fillna("")
-            ).encode()
-        ).hexdigest()
-        manifest = {
-            "partition": slug,
-            "repo": repo,
-            "lang": lang,
-            "salt": salt,
-            "rows": int(len(graph)),
-            "docs": int(graph["doc_id"].nunique()),
-            "mentions": int(graph["n_mentions"].sum()),
-            "triples_sha256": content_hash,
-            "duration_s": round(time.time() - t0, 3),
-            "salting": salting,
-            "layout": _LAYOUT_VERSION,
-            "complete": True,
-        }
-        mtmp = out_dir / "_manifests" / f".{slug}.{os.getpid()}.tmp"
-        with open(mtmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mtmp, out_dir / "_manifests" / f"{slug}.json")
-
-        return pd.DataFrame(
-            [{k: v for k, v in manifest.items() if k not in ("complete", "salting")}]
-        )
-
-    metrics = salted.groupby(["repo", "lang", "salt"]).map_groups(
-        write_unit, batch_format="pandas"
+    written, skipped = commit_units(
+        combined,
+        out_dir,
+        unit_of,
+        _graph_unit,
+        {"salting": salting, "layout": _LAYOUT_VERSION},
+        resume=resume,
+        sink="materialize_graph",
     )
-
     if run_id is not None:
-        summary = metrics.to_pandas()
-        run_manifest = {
-            "run_id": run_id,
+        units = written.take_all()
+        write_run_manifest(out_dir, run_id, {
             "salting": salting,
-            "units_written": int(len(summary)),
-            "rows": int(summary["rows"].sum()) if len(summary) else 0,
-            "docs": int(summary["docs"].sum()) if len(summary) else 0,
-            "resumed_units_skipped": len(done),
-        }
-        with open(out_dir / "_manifests" / f"_run_{run_id}.json", "w") as fh:
-            json.dump(run_manifest, fh)
-        import ray.data
-
-        return ray.data.from_pandas(summary) if len(summary) else metrics
-    return metrics
+            "units_written": len(units),
+            "rows": sum(unit["rows"] for unit in units),
+            "docs": sum(unit["docs"] for unit in units),
+            "resumed_units_skipped": len(skipped),
+        })
+    return written
 
 
 def pagerank(

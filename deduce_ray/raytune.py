@@ -45,49 +45,6 @@ def tune_data_context() -> None:
         ctx = ray.data.DataContext.get_current()
         if os.environ.get("DEDUCE_RAY_OP_RESERVATION") != "1":
             ctx.op_resource_reservation_enabled = False
-        # OPT-IN hash-partitioned shuffle (DEDUCE_RAY_HASH_SHUFFLE=1).
-        # Hash shuffle is attractive — measured 31-35 s -> 8.6 s on a
-        # 2M-row / 50k-group map_groups, it skips the sort path's sample
-        # pass (the source of the documented 2-3x sort-sample variance in
-        # minhash_clusters / kg_pagerank / pricing_summary), and it is
-        # the shape a real cluster wants — but Ray 2.49.2's implementation
-        # has a POISON-BLOCK bug that rules it out as the default here:
-        # map_groups emits zero-row, ZERO-SCHEMA blocks for empty hash
-        # partitions (the sort path's long-known cosmetic "different
-        # schema (.)" empties), and when a DOWNSTREAM hash exchange's
-        # aggregator partition receives only such blocks its finalize
-        # calls block.sort_by(key) on a column-less table ->
-        # "ArrowInvalid: No match for FieldRef.Name(<key>) in  ".
-        # kg_pagerank_sqlpreds (chained groupbys inside the iteration
-        # loop) crashed 100% reproducibly; any of the ~54 map_groups
-        # sites whose output feeds another exchange can crash FLAKILY
-        # depending on which partitions land empty.  Repro + knob probe:
-        # scripts/probe_hash_shuffle.py.  Revisit on a Ray upgrade.
-        if os.environ.get("DEDUCE_RAY_HASH_SHUFFLE") == "1":
-            import ray as _ray
-            from ray.data.context import ShuffleStrategy
-
-            if _ray.is_initialized():
-                ncpu = int(_ray.cluster_resources().get("CPU", 0)) or (
-                    os.cpu_count() or 8
-                )
-            else:
-                ncpu = int(os.environ.get("RAY_GRAFT_CPUS", 0) or 0) or (
-                    os.cpu_count() or 8
-                )
-            ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-            # The upstream defaults assume a real cluster (200 partitions,
-            # CPU-reserving aggregator actors, and a 300 s grace wait when
-            # the reservation cannot be met).  On a small local budget that
-            # wait IS a stall: at num_cpus=8 the first groupby asked for
-            # 16 reserved CPUs and slept 5 minutes.  Size the exchange to
-            # the actual CPU budget, make aggregators effectively free to
-            # schedule (they accumulate Arrow partials; the work happens in
-            # finalize tasks), and fail over to queueing instead of waiting.
-            ctx.default_hash_shuffle_parallelism = max(8, 2 * ncpu)
-            ctx.max_hash_shuffle_aggregators = max(4, min(16, ncpu))
-            ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.02
-            ctx.min_hash_shuffle_aggregator_wait_time_in_s = 1
         # This engine's list<float> columns (resized pixels, frame
         # features, embeddings) are genuine variable-length lists with
         # nulls for non-image rows.  Ray Data's tensor-extension

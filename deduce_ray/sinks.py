@@ -1,31 +1,44 @@
-"""Resumable bucketed parquet sink.
+"""Resumable sinks: one unit-commit protocol, two layouts.
 
-``materialize_graph`` (rayops/kg.py) pioneered this repo's resumable-sink
-shape: deterministic unit routing, one atomically-renamed parquet file +
-one lineage manifest per unit, completed units filtered out BEFORE the
-exchange, and a refusal to resume under a changed routing config (rows
-would re-route into differently-named units while the old files survive
-— duplicated output).  That sink is graph-specific (units are
-(repo, lang, salt) partitions).  This module generalizes the pattern to
-ANY dataset with a stable integer id column, so the prep funnel's
-survivor corpus — previously an all-or-nothing ``write_parquet`` — can
-be written as N hash buckets where a restarted run skips the finished
-ones.
+A resumable sink writes a dataset as independent *units*, one parquet
+file plus one lineage manifest each, so that a restarted run skips the
+units a crashed run already finished.  :func:`commit_units` is the one
+implementation of that protocol; :func:`write_parquet_resumable` (hash
+buckets over an integer id) and
+:func:`deduce_ray.rayops.kg.materialize_graph` ((repo, lang, salt) graph
+partitions) are thin callers that name each row's unit and write one
+unit's rows.
 
-Semantics and limits, stated plainly:
+The protocol, stated plainly:
+
+- ``_manifests/`` is scanned once, on the driver.  A manifest that does
+  not parse is a torn write from a crashed run: its unit is not
+  complete.  Every manifest that parses must record the caller's
+  identity fields (routing config, layout version) with the caller's
+  values, or resume is refused: rows would re-route into differently-
+  named units while the old files survive — duplicated output.
+- Completed units are filtered out BEFORE the exchange, so their rows
+  never shuffle.  The upstream pipeline still re-executes to regenerate
+  the missing rows; that is the honest contract for a deterministic
+  pipeline.
+- The remaining rows go through ONE ``groupby(unit).map_groups``
+  exchange.  Each unit is one group task holding the whole unit in
+  memory: size units so that they fit a worker's heap (the cost of
+  atomic per-unit commit).
+- Each unit's parquet file is renamed into place, THEN its manifest, so
+  a manifest never names a missing or partial file.
+- ``resume=False`` refuses a non-empty output directory, where output
+  would mix with stale files.
+
+The bucketed layout (:func:`write_parquet_resumable`):
 
 - Routing is ``splitmix64(id) % n_buckets`` — deterministic across
   runs, independent of block boundaries or execution order, uniform
   even for sequential ids.  The id column must be integer-typed,
   non-null, and (per the funnel's module-wide contract) unique.
-- Resume skips the WRITE (and the shuffle volume) of completed
-  buckets; the upstream pipeline still re-executes to regenerate the
-  missing rows.  That is the honest contract for a deterministic
-  pipeline — the same one materialize_graph documents.
-- Each bucket becomes one group task holding the whole bucket in
-  memory: size ``n_buckets`` so ``corpus / n_buckets`` fits a worker's
-  heap (the cost of atomic per-unit commit; at 100 TB you want
-  thousands of buckets, not the CLI's single-node default of 64).
+- Size ``n_buckets`` so that ``corpus / n_buckets`` fits a worker's heap
+  (at 100 TB you want thousands of buckets, not the CLI's single-node
+  default of 64).
 - Within a bucket, rows are sorted by ``sort_cols`` before writing so a
   re-run of the same input reproduces the same bytes — manifests carry
   a content hash over the sorted id column to make that checkable.
@@ -35,17 +48,137 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 
-# Version of the on-disk layout (file naming + bucket derivation).
-# Recorded in every manifest; resume refuses a mismatch for the same
-# reason it refuses a changed n_buckets.
+from deduce_ray.state.base import atomic_write_json, atomic_write_parquet
+
+MANIFESTS = "_manifests"
+# the unit-name column commit_units adds for routing
+_UNIT = "__unit"
+
+# Version of the bucketed on-disk layout (file naming + bucket
+# derivation).  Recorded in every manifest; resume refuses a mismatch for
+# the same reason it refuses a changed n_buckets.
 _LAYOUT_VERSION = 1
+
+
+def completed_units(
+    out_dir: str | Path, identity: dict | None = None, sink: str = "sink"
+) -> dict[str, dict]:
+    """The manifests of the units complete under ``out_dir``, keyed by
+    unit name (the manifest's file stem).  With ``identity``, a parsed
+    manifest whose value for any of its fields is missing or different
+    raises ValueError."""
+    mdir = Path(out_dir) / MANIFESTS
+    if not mdir.is_dir():
+        return {}
+    done = {}
+    for mf in mdir.glob("*.json"):
+        if mf.name.startswith("_run_"):
+            continue
+        try:
+            manifest = json.loads(mf.read_text())
+        except json.JSONDecodeError:
+            continue  # torn write from a crashed run: unit not complete
+        for field, value in (identity or {}).items():
+            if manifest.get(field) != value:
+                what = field if field == "config" else f"{field} config"
+                raise ValueError(
+                    f"{sink}: completed unit {mf.stem} was written with "
+                    f"{what} {manifest.get(field)!r} but this run has "
+                    f"{value!r}; resuming would re-route rows into "
+                    "differently-named units while the old files survive "
+                    "— clear the output directory or rerun with the "
+                    "original settings"
+                )
+        if manifest.get("complete"):
+            done[mf.stem] = manifest
+    return done
+
+
+def commit_units(
+    ds,
+    out_dir: str | Path,
+    unit_of: Callable[[pa.Table], pa.Array],
+    make_unit: Callable[[str, pa.Table], tuple[pa.Table, str, dict]],
+    identity: dict,
+    resume: bool = True,
+    sink: str = "sink",
+):
+    """Write ``ds`` under ``out_dir`` unit by unit, skipping the units an
+    earlier run completed (see the module docstring).
+
+    ``unit_of(batch)`` names each row's unit (a string array; the name is
+    also the manifest's file stem).  ``make_unit(name, rows)`` gets one
+    unit's rows and returns its table, the table's path relative to
+    ``out_dir`` and the unit's manifest fields; the manifest also records
+    ``duration_s``, ``identity`` and ``complete``.
+
+    Returns ``(written, skipped)``: the materialized dataset with one row
+    per unit this run wrote (its manifest without ``identity`` and
+    ``complete``), and the manifests of the completed units it skipped.
+    """
+    import pyarrow.compute as pc
+
+    out_dir = Path(out_dir)
+    if not resume and out_dir.exists() and any(out_dir.iterdir()):
+        raise ValueError(
+            f"{sink}: {out_dir} exists and is not empty and resume is off "
+            "— output would mix with stale files"
+        )
+    (out_dir / MANIFESTS).mkdir(parents=True, exist_ok=True)
+    skipped = completed_units(out_dir, identity, sink)
+    done = pa.array(sorted(skipped), type=pa.string())
+
+    def route(batch: pa.Table) -> pa.Table:
+        if _UNIT in batch.column_names:
+            raise ValueError(
+                f"{sink}: input already has a {_UNIT} column (reserved "
+                "for routing)"
+            )
+        batch = batch.append_column(_UNIT, unit_of(batch))
+        if len(done):
+            batch = batch.filter(
+                pc.invert(pc.is_in(batch.column(_UNIT), value_set=done))
+            )
+        return batch
+
+    def write_unit(group: pa.Table) -> pa.Table:
+        t0 = time.time()
+        name = group.column(_UNIT)[0].as_py()
+        table, data_path, fields = make_unit(name, group.drop_columns([_UNIT]))
+        atomic_write_parquet(table, str(out_dir / data_path))
+        manifest = {
+            **fields,
+            "duration_s": round(time.time() - t0, 3),
+            **identity,
+            "complete": True,
+        }
+        atomic_write_json(str(out_dir / MANIFESTS / f"{name}.json"), manifest)
+        return pa.Table.from_pylist(
+            [{k: v for k, v in manifest.items() if k not in identity and k != "complete"}]
+        )
+
+    written = (
+        ds.map_batches(route, batch_format="pyarrow")
+        .groupby(_UNIT)
+        .map_groups(write_unit, batch_format="pyarrow")
+        .materialize()
+    )
+    return written, skipped
+
+
+def write_run_manifest(out_dir: str | Path, run_id: str, record: dict) -> None:
+    """Record one run's lineage as ``_manifests/_run_<run_id>.json``."""
+    atomic_write_json(
+        str(Path(out_dir) / MANIFESTS / f"_run_{run_id}.json"),
+        {"run_id": run_id, **record},
+    )
 
 
 def _bucket_of(ids: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -63,44 +196,6 @@ def _bucket_of(ids: np.ndarray, n_buckets: int) -> np.ndarray:
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x = x ^ (x >> np.uint64(31))
     return (x % np.uint64(n_buckets)).astype(np.int64)
-
-
-def _scan_manifests(out_dir: Path, config: dict) -> tuple[set[int], int]:
-    """One driver pass over ``_manifests/``: refuse a config/layout
-    mismatch, return (completed bucket ids, rows already written)."""
-    done: set[int] = set()
-    rows_done = 0
-    mdir = out_dir / "_manifests"
-    if not mdir.exists():
-        return done, 0
-    for mf in mdir.glob("*.json"):
-        if mf.name.startswith("_run_"):
-            continue
-        try:
-            with open(mf) as fh:
-                manifest = json.load(fh)
-        except json.JSONDecodeError:
-            continue  # torn write from a crashed run: unit not complete
-        recorded = manifest.get("config")
-        if recorded is not None and recorded != config:
-            raise ValueError(
-                f"write_parquet_resumable: resume with config {config} but "
-                f"completed bucket {manifest.get('bucket')} was written "
-                f"with {recorded}; rows would re-route into differently-"
-                "named buckets while the old files survive — clear the "
-                "output directory or rerun with the original id_col/"
-                "n_buckets"
-            )
-        if manifest.get("layout", 0) != _LAYOUT_VERSION:
-            raise ValueError(
-                f"write_parquet_resumable: output dir uses unit layout "
-                f"v{manifest.get('layout', 0)} but this version writes "
-                f"v{_LAYOUT_VERSION}; clear the output directory"
-            )
-        if manifest.get("complete") and "bucket" in manifest:
-            done.add(int(manifest["bucket"]))
-            rows_done += int(manifest.get("rows", 0))
-    return done, rows_done
 
 
 def write_parquet_resumable(
@@ -121,128 +216,59 @@ def write_parquet_resumable(
     shuffle.  ``resume=False`` refuses a non-empty output directory
     outright (the prep CLI's historical all-or-nothing behavior).
     """
-    import pyarrow.compute as pc
-
-    out_dir = Path(out_dir)
-    if not resume and out_dir.exists() and any(out_dir.iterdir()):
-        raise ValueError(
-            f"write_parquet_resumable: {out_dir} exists and is not empty "
-            "and resume is off — output would mix with stale files"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "_manifests").mkdir(exist_ok=True)
-
-    config = {"id_col": id_col, "n_buckets": int(n_buckets)}
-    done, rows_done = (
-        _scan_manifests(out_dir, config) if resume else (set(), 0)
-    )
-
     schema = ds.schema()  # ray.data.Schema: parallel .names / .types
-    if "__bucket" in schema.names:
-        raise ValueError(
-            "write_parquet_resumable: input already has a __bucket column "
-            "(reserved for routing)"
-        )
     id_type = dict(zip(schema.names, schema.types))[id_col]
     if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
         raise TypeError(
             f"write_parquet_resumable: id column {id_col!r} must be "
             f"integer-typed for stable bucket routing, got {id_type}"
         )
-    sort_by = list(sort_cols) if sort_cols else [id_col]
-    missing = [c for c in sort_by if c not in schema.names]
+    sort_by = [(c, "ascending") for c in (sort_cols or [id_col])]
+    missing = [c for c, _ in sort_by if c not in schema.names]
     if missing:
         raise ValueError(
             f"write_parquet_resumable: sort_cols {missing} not in schema "
             f"{schema.names}"
         )
+    config = {"id_col": id_col, "n_buckets": int(n_buckets)}
+    names = pa.array([f"part-{b:05d}" for b in range(n_buckets)])
 
-    done_arr = pa.array(sorted(done), type=pa.int64()) if done else None
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def unit_of(batch: pa.Table) -> pa.Array:
+        ids = batch.column(id_col)
         # null check BEFORE to_numpy: a nullable int column converts to
         # float64-with-NaN, which would silently route to a garbage bucket
-        if batch.num_rows and batch.column(id_col).null_count:
+        if ids.null_count:
             raise ValueError(
                 f"write_parquet_resumable: null id in column {id_col!r}"
             )
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        bucket = _bucket_of(ids, n_buckets) if batch.num_rows else np.array(
-            [], dtype=np.int64
-        )
-        batch = batch.append_column(
-            "__bucket", pa.array(bucket, type=pa.int64())
-        )
-        if done_arr is not None:
-            batch = batch.filter(
-                pc.invert(
-                    pc.is_in(batch.column("__bucket"), value_set=done_arr)
-                )
-            )
-        return batch
+        return names.take(_bucket_of(ids.to_numpy(), n_buckets))
 
-    def write_unit(group: pa.Table) -> pa.Table:
-        t0 = time.time()
-        bucket = group.column("__bucket")[0].as_py()
-        group = group.drop_columns(["__bucket"]).sort_by(
-            [(c, "ascending") for c in sort_by]
-        )
-        import pyarrow.parquet as pq
-
-        data_path = out_dir / f"part-{bucket:05d}.parquet"
-        tmp_path = out_dir / f".part-{bucket:05d}.{os.getpid()}.tmp"
-        pq.write_table(group, tmp_path)
-        os.replace(tmp_path, data_path)
-
-        ids_sorted = group.column(id_col).to_numpy(zero_copy_only=False)
-        content_hash = hashlib.sha256(
-            np.ascontiguousarray(ids_sorted).tobytes()
-        ).hexdigest()
-        manifest = {
-            "bucket": int(bucket),
-            "rows": int(group.num_rows),
-            "ids_sha256": content_hash,
-            "duration_s": round(time.time() - t0, 3),
-            "config": config,
-            "layout": _LAYOUT_VERSION,
-            "complete": True,
+    def bucket_unit(name: str, rows: pa.Table) -> tuple[pa.Table, str, dict]:
+        rows = rows.sort_by(sort_by)
+        ids = np.ascontiguousarray(rows.column(id_col).to_numpy())
+        return rows, f"{name}.parquet", {
+            "bucket": int(name.removeprefix("part-")),
+            "rows": rows.num_rows,
+            "ids_sha256": hashlib.sha256(ids.tobytes()).hexdigest(),
         }
-        mtmp = out_dir / "_manifests" / f".part-{bucket:05d}.{os.getpid()}.tmp"
-        with open(mtmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(mtmp, out_dir / "_manifests" / f"part-{bucket:05d}.json")
-        return pa.table(
-            {
-                "bucket": pa.array([int(bucket)], type=pa.int64()),
-                "rows": pa.array([int(group.num_rows)], type=pa.int64()),
-            }
-        )
 
-    metrics = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(write_unit, batch_format="pyarrow")
+    written, skipped = commit_units(
+        ds,
+        out_dir,
+        unit_of,
+        bucket_unit,
+        {"config": config, "layout": _LAYOUT_VERSION},
+        resume=resume,
+        sink="write_parquet_resumable",
     )
-    written = 0
-    rows_written = 0
-    # one row per bucket: a bounded driver pull by construction
-    for bt in metrics.iter_batches(batch_format="pyarrow"):
-        written += bt.num_rows
-        if bt.num_rows:
-            rows_written += int(
-                pc.sum(bt.column("rows")).as_py() or 0
-            )
-
+    units = written.take_all()  # one row per bucket: a bounded pull
+    rows = sum(unit["rows"] for unit in units)
     summary = {
-        "buckets_written": written,
-        "buckets_skipped": len(done),
-        "rows": rows_written,
-        "rows_total": rows_written + rows_done,
+        "buckets_written": len(units),
+        "buckets_skipped": len(skipped),
+        "rows": rows,
+        "rows_total": rows + sum(m.get("rows", 0) for m in skipped.values()),
     }
     if run_id is not None:
-        run_manifest = {"run_id": run_id, "config": config, **summary}
-        rtmp = out_dir / "_manifests" / f"._run_{run_id}.{os.getpid()}.tmp"
-        with open(rtmp, "w") as fh:
-            json.dump(run_manifest, fh)
-        os.replace(rtmp, out_dir / "_manifests" / f"_run_{run_id}.json")
+        write_run_manifest(out_dir, run_id, {"config": config, **summary})
     return summary

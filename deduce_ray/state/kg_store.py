@@ -39,6 +39,8 @@ from __future__ import annotations
 import json
 import os
 
+from deduce_ray.state.base import atomic_write_json
+
 EDGE_KEY = ["pred_a", "obj_a", "pred_b", "obj_b"]
 
 
@@ -56,10 +58,7 @@ class KGStore:
         else:
             os.makedirs(os.path.join(store_dir, "_ingests"), exist_ok=True)
             os.makedirs(os.path.join(store_dir, "edges"), exist_ok=True)
-            tmp = meta_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump({"version": 1}, f)
-            os.replace(tmp, meta_path)
+            atomic_write_json(meta_path, {"version": 1})
 
     # -- manifests ---------------------------------------------------------
 
@@ -108,10 +107,7 @@ class KGStore:
         # spent and later merges skip it
         n_edges = pads.dataset(files).count_rows() if files else 0
         manifest = {"label": label, "n_edges": int(n_edges)}
-        tmp = self._manifest_path(label) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, self._manifest_path(label))
+        atomic_write_json(self._manifest_path(label), manifest)
         return manifest
 
     # -- read --------------------------------------------------------------

@@ -1796,7 +1796,7 @@ class TestRuntimeTailoring:
     def test_lookup_trie_overlay(self, engine):
         from deduce_ray.engine import DeduceEngine
 
-        eng = DeduceEngine(lexicon=(engine.lookup_structs, engine.tokenizer))
+        eng = DeduceEngine(lexicon=_private_lexicon(engine, "placename"))
         before = eng.deidentify("gezien in Fictiedorpje vandaag")
         assert not any(a.text == "Fictiedorpje" for a in before.annotations)
 
@@ -1805,13 +1805,30 @@ class TestRuntimeTailoring:
         assert ("Fictiedorpje", "locatie") in {
             (a.text, a.tag) for a in after.annotations
         }
+        assert not engine.lookup_structs["placename"].find_spans(["Fictiedorpje"])
 
     def test_lookup_set_tailoring(self, engine):
         from deduce_ray.engine import DeduceEngine
 
-        eng = DeduceEngine(lexicon=(engine.lookup_structs, engine.tokenizer))
+        eng = DeduceEngine(lexicon=_private_lexicon(engine, "whitelist"))
         eng.lookup_structs["whitelist"].add_items_from_iterable(["Fictiewoord"])
         assert "fictiewoord" in eng.lookup_structs["whitelist"]
+        assert "fictiewoord" not in engine.lookup_structs["whitelist"]
+
+
+def _private_lexicon(engine, *names):
+    """The session engine's lexicon with ``names`` replaced by private
+    copies, so that tailoring them leaves the session-scoped ``engine``
+    (and every later test using it) untouched."""
+    import copy
+
+    from deduce_ray.structures import DsCollection
+
+    engine.lookup_structs.resolve()
+    structs = DsCollection(engine.lookup_structs)
+    for name in names:
+        structs[name] = copy.deepcopy(structs[name])
+    return structs, engine.tokenizer
 
 
 class TestDedupModes:

@@ -249,3 +249,88 @@ class TestPrepResumeIntegration:
         )
         resumed = _read_all(d).sort_by("doc_id")
         assert resumed.equals(full)
+
+
+def _triples(repos=("org/a", "org/b"), n=40):
+    """Mention rows shaped like extract_triples output, no lexicon needed."""
+    return [
+        {
+            "doc_id": f"{i:08x}", "repo": repos[i % len(repos)], "path": "p",
+            "commit": "c", "lang": "nl", "pred": "id", "obj": f"o{i % 7}",
+            "start_char": i, "end_char": i + 2, "entity_id": "ID-1",
+        }
+        for i in range(n)
+    ]
+
+
+def _graph_rows(out_dir):
+    return sum(pq.read_table(p).num_rows for p in out_dir.glob("*/part-*.parquet"))
+
+
+class TestGraphSinkProtocol:
+    """materialize_graph goes through the same unit committer as the
+    bucketed sink: the same refusal, torn-manifest and run-manifest
+    behaviour."""
+
+    def test_no_resume_refuses_nonempty_dir(self, ray_session, tmp_path):
+        import ray
+
+        from deduce_ray.rayops.kg import materialize_graph
+
+        materialize_graph(ray.data.from_items(_triples()), tmp_path)
+        # a second run over repo a alone would otherwise leave org/b's
+        # units from the first run in place
+        with pytest.raises(ValueError, match="not empty"):
+            materialize_graph(
+                ray.data.from_items(_triples(repos=("org/a",))),
+                tmp_path,
+                resume=False,
+            )
+        assert {p.parent.name for p in tmp_path.glob("*/part-*.parquet")} == {
+            "org%2Fa__nl", "org%2Fb__nl",
+        }
+
+    def test_torn_manifest_is_not_complete(self, ray_session, tmp_path):
+        import ray
+
+        from deduce_ray.rayops.kg import completed_partitions, materialize_graph
+
+        first = materialize_graph(
+            ray.data.from_items(_triples()), tmp_path, hot_keys={"org/a"}, n_salts=4
+        ).to_pandas()
+        rows = _graph_rows(tmp_path)
+        mf = sorted((tmp_path / "_manifests").glob("*.json"))[0]
+        mf.write_text('{"partition": "' + mf.stem + '", "rows":')  # torn write
+        assert mf.stem not in completed_partitions(tmp_path)
+
+        again = materialize_graph(
+            ray.data.from_items(_triples()), tmp_path, hot_keys={"org/a"}, n_salts=4
+        ).to_pandas()
+        # the torn unit was rewritten; every other unit skipped
+        assert list(again["partition"]) == [mf.stem]
+        assert json.loads(mf.read_text())["complete"]
+        assert len(completed_partitions(tmp_path)) == len(first)
+        assert _graph_rows(tmp_path) == rows
+
+    def test_run_manifest_records_totals(self, ray_session, tmp_path):
+        import ray
+
+        from deduce_ray.rayops.kg import materialize_graph
+
+        metrics = materialize_graph(
+            ray.data.from_items(_triples()), tmp_path, run_id="r1"
+        ).to_pandas()
+        run = json.loads((tmp_path / "_manifests" / "_run_r1.json").read_text())
+        assert run == {
+            "run_id": "r1",
+            "salting": {"hot_keys": [], "n_salts": 8},
+            "units_written": len(metrics),
+            "rows": int(metrics["rows"].sum()),
+            "docs": int(metrics["docs"].sum()),
+            "resumed_units_skipped": 0,
+        }
+        assert run["units_written"] == 2 and run["rows"] == _graph_rows(tmp_path)
+
+        materialize_graph(ray.data.from_items(_triples()), tmp_path, run_id="r2")
+        run2 = json.loads((tmp_path / "_manifests" / "_run_r2.json").read_text())
+        assert run2["units_written"] == 0 and run2["resumed_units_skipped"] == 2
