@@ -43,6 +43,39 @@ def merge_shards_pow2(minimum: int = 32, per_cpu: int = 4) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def shard_exchange(ds, shard_col: str, n_shards: int, merge):
+    """Sampling-free exchange: rows tagged with an integer shard in
+    ``[0, n_shards)`` meet their shard, and ``merge`` runs once per
+    shard on the whole shard (a pyarrow Table without ``shard_col``).
+
+    The shard values are known, so the sort takes analytic boundaries
+    ``1 .. n_shards-1``: Ray skips its sampling pass, and the exchange has
+    exactly ``n_shards`` output partitions whatever the upstream block
+    count (a sampled sort makes one per input block: a coalesced input
+    merges in one task).  A sort reduce returns one block however large,
+    and ``batch_size=None`` hands each block to one call, the contract
+    Ray's own ``map_groups`` relies on.  An empty shard's block carries no
+    rows and no columns (Ray's reduce drops its schema and its map stage
+    passes empty blocks through without a call); the result's schema is
+    the merge output's as soon as one shard has rows.
+
+    ``merge`` keeps the name Ray gives the operator, ``MapBatches(<name>)``.
+    """
+    import functools
+
+    if n_shards == 1:
+        # boundaries=[] would mean "sample them"
+        shards = ds.repartition(1)
+    else:
+        shards = ds.sort(shard_col, boundaries=list(range(1, n_shards)))
+
+    @functools.wraps(merge)
+    def merge_shard(shard):
+        return merge(shard.drop_columns([shard_col]))
+
+    return shards.map_batches(merge_shard, batch_size=None, batch_format="pyarrow")
+
+
 def grouped_agg(
     ds,
     keys: list[str],

@@ -10,6 +10,13 @@ Scale notes (north_rule):
     key, (pred, obj_norm) hash for entity counts) so the 30%-hot monorepo
     cannot straggle them; (repo, lang) is the OUTPUT partitioning key,
     applied at the sink with hot-key salting.
+  - The graph path's exchanges (dedup, the hot-key count, the sink's
+    unit writes) use :func:`deduce_ray.ops.agg.shard_exchange`: integer
+    shards take a sort with analytic boundaries, so there is no sampling
+    pass, the partition count is the shard count rather than the
+    (coalesced, often single) upstream block count, and each shard merges
+    in one Arrow call.  The graph merge is Arrow ``group_by`` throughout;
+    no pandas frame is built between annotate and the parquet files.
   - Materialization writes one parquet file + one manifest per partition;
     a manifest is written only after its data file, so a re-run can skip
     complete partitions (resume) and re-do partial ones idempotently.
@@ -63,30 +70,42 @@ def _dedup_batch(batch: pa.Table) -> pa.Table:
     # count_all (row count), not ("start_char", "count"): a count aggregate
     # skips nulls, undercounting mentions with null spans.  Columns selected
     # BY NAME — positional rename assumes keys-first aggregate output, which
-    # is a pyarrow implementation detail.
+    # is a pyarrow implementation detail.  Spans are int32 whatever the
+    # input's integer width, and an all-null key column arrives null-typed:
+    # every graph unit of a run then writes one schema.
     return pa.table(
         {
-            **{k: grouped.column(k) for k in _GRAPH_KEY},
+            **{k: _string_if_null(grouped.column(k)) for k in _GRAPH_KEY},
             "n_mentions": grouped.column("count_all"),
-            "first_start_char": grouped.column("start_char_min"),
+            "first_start_char": grouped.column("start_char_min").cast(pa.int32()),
         }
     )
 
 
-def _merge_graph_rows(df):
-    # dropna=False: the pyarrow combiner keeps null-keyed groups, so the
-    # pandas merge must too — otherwise null repo/lang triples would be
-    # silently deleted between combine and merge
-    return df.groupby(_GRAPH_KEY, as_index=False, dropna=False).agg(
-        n_mentions=("n_mentions", "sum"),
-        first_start_char=("first_start_char", "min"),
+def _string_if_null(col):
+    return col.cast(pa.string()) if pa.types.is_null(col.type) else col
+
+
+def _merge_graph_rows(rows: pa.Table) -> pa.Table:
+    """Merge combiner outputs: sum the mentions and keep the earliest span
+    per graph key.  Arrow's group_by keeps null keys as their own groups,
+    as the combiner does."""
+    merged = rows.group_by(_GRAPH_KEY).aggregate(
+        [("n_mentions", "sum"), ("first_start_char", "min")]
+    )
+    return pa.table(
+        {
+            **{k: merged.column(k) for k in _GRAPH_KEY},
+            "n_mentions": merged.column("n_mentions_sum"),
+            "first_start_char": merged.column("first_start_char_min"),
+        }
     )
 
 
 def dedup_triples(triples_ds, by_doc_first: bool = False, n_buckets: int | None = None):
     """Flat mention rows -> deduplicated graph rows.
 
-    Per-batch combiner (no shuffle) then ONE merge shuffle keyed on a
+    Per-batch combiner (no shuffle) then ONE merge exchange keyed on a
     UNIFORM doc_id-hash bucket: the graph key contains doc_id, so every
     copy of a graph row shares its bucket and the merge is exact — and
     because sha256 prefixes spread evenly, a 30%-hot monorepo cannot
@@ -97,51 +116,38 @@ def dedup_triples(triples_ds, by_doc_first: bool = False, n_buckets: int | None 
     ``by_doc_first`` is retained for API compatibility; the uniform-bucket
     merge is now always the single dedup exchange, so both modes share it.
     """
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
+
     del by_doc_first
     if n_buckets is None:
-        # cpus-aware bucket count (see ops.agg.merge_shards): 256 fixed
-        # buckets cost ~3.4 s of a 4.1 s flagship run at sf0.1 in
-        # per-group pandas dispatch; 4 x CPUs costs <1 s.  The hash is
-        # uniform, so fewer buckets cannot create skew.
-        from deduce_ray.ops.agg import merge_shards
-
+        # cpus-aware bucket count (see ops.agg.merge_shards); the hash is
+        # uniform, so fewer buckets cannot create skew
         n_buckets = merge_shards()
     combined = triples_ds.map_batches(_dedup_batch, batch_format="pyarrow")
 
-    def merge_and_bucket(df):
-        out = _merge_graph_rows(df)
-        # _doc_bucket, not a bare int(d[:4], 16): pandas groupby(dropna=
-        # False) re-materializes null keys as truthy float NaN, and ids
+    def merge_and_bucket(batch: pa.Table) -> pa.Table:
+        out = _merge_graph_rows(batch)
+        # _doc_bucket, not a bare int(d[:4], 16): ids may be null, and
         # are not guaranteed hex for external callers
-        out["doc_bucket"] = [_doc_bucket(d, n_buckets) for d in out["doc_id"]]
-        return out
+        buckets = [_doc_bucket(d, n_buckets) for d in out.column("doc_id").to_pylist()]
+        return out.append_column("doc_bucket", pa.array(buckets, type=pa.int64()))
 
     # batch_size coalesces the many small combiner outputs into few blocks
-    # before the exchange (thousands of blocks x 256 partitions of shuffle
-    # metadata is pathological) and gives the bucket-combiner a second
-    # chance to collapse replicas that lived in different blocks.
+    # before the exchange (thousands of blocks x n_buckets pieces of
+    # shuffle metadata is pathological) and gives the bucket-combiner a
+    # second chance to collapse replicas that lived in different blocks.
     # num_cpus=0.9 deliberately differs from the default so Ray does NOT
     # fuse this coalescing pass with the upstream annotate chain — fused,
-    # the large batch_size would gate upstream task granularity at 131072
+    # the large batch_size would gate upstream task granularity at 32768
     # input rows and serialize the expensive annotate stage (measured:
-    # kg_graph 4.5 s -> 9.5 s with the chain collapsed to one task)
+    # kg_graph 4.5 s -> 9.5 s with the chain collapsed to one task).
     # 32768 balances the two regimes: the 2M-doc stress still collapses
-    # 3200 tiny combiner blocks to ~140 (sort metadata stays small), while
-    # a small corpus gets several coalescer tasks instead of one
-    # barrier-like task that defeats streaming overlap with the sort
-    return (
-        combined.map_batches(
-            merge_and_bucket,
-            batch_format="pandas",
-            batch_size=32768,
-            num_cpus=0.9,
-        )
-        .groupby("doc_bucket")
-        .map_groups(
-            lambda df: _merge_graph_rows(df.drop(columns=["doc_bucket"])),
-            batch_format="pandas",
-        )
+    # 3200 tiny combiner blocks to ~140, while a small corpus gets several
+    # coalescer tasks instead of one barrier-like task
+    coalesced = combined.map_batches(
+        merge_and_bucket, batch_format="pyarrow", batch_size=32768, num_cpus=0.9
     )
+    return shard_exchange(coalesced, "doc_bucket", n_buckets, _merge_graph_rows)
 
 
 def canonical_entities(triples_ds):
@@ -642,9 +648,7 @@ def detect_hot_keys(
     scale run it over the raw repo table (column-pruned parquet read)
     rather than the annotated triples.
     """
-    import pandas as pd
-
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     n_shards = merge_shards()
 
@@ -682,15 +686,14 @@ def detect_hot_keys(
             }
         )
 
-    def merge_partials(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("repo", as_index=False).agg(n=("n", "sum"))
+    def merge_partials(partials: pa.Table) -> pa.Table:
+        summed = partials.group_by("repo").aggregate([("n", "sum")])
+        return pa.table({"repo": summed.column("repo"), "n": summed.column("n_sum")})
 
-    merged = (
-        triples_ds.select_columns(["repo"])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(merge_partials, batch_format="pandas")
+    partials = triples_ds.select_columns(["repo"]).map_batches(
+        partial_counts, batch_format="pyarrow"
     )
+    merged = shard_exchange(partials, "__shard", n_shards, merge_partials)
     repo_parts: list[list] = []
     n_parts: list[np.ndarray] = []
     for bt in merged.iter_batches(batch_format="pyarrow"):
@@ -751,37 +754,34 @@ def completed_partitions(out_dir: str | Path) -> set[str]:
 
 def _graph_unit(name: str, rows: pa.Table) -> tuple[pa.Table, str, dict]:
     """One (repo, lang, salt) unit: the final merge of its graph rows,
-    sorted so a re-run reproduces the same file."""
+    sorted so a re-run reproduces the same file (entity_id breaks ties, so
+    the order never depends on group_by's output order)."""
+    import pyarrow.compute as pc
+
     partition, salt = name.rsplit("__", 1)
-    graph = (
-        _merge_graph_rows(rows.to_pandas())
-        .sort_values(["doc_id", "first_start_char", "pred", "obj"])
-        .reset_index(drop=True)
+    graph = _merge_graph_rows(rows).sort_by(
+        [(c, "ascending") for c in ("doc_id", "first_start_char", "pred", "obj", "entity_id")]
     )
-    # fillna: null doc_id/pred/obj are preserved through dedup by design;
-    # NaN elements would make the string concat NaN and '\n'.join raise
-    # mid-sink
-    content_hash = hashlib.sha256(
-        "\n".join(
-            graph["doc_id"].fillna("")
-            + "|"
-            + graph["pred"].fillna("")
-            + "|"
-            + graph["obj"].fillna("")
-        ).encode()
-    ).hexdigest()
+
+    def text(col: str):
+        # null doc_id/pred/obj are preserved through dedup by design; they
+        # hash as ''
+        return pc.fill_null(graph.column(col).cast(pa.string()), "")
+
+    lines = pc.binary_join_element_wise(text("doc_id"), text("pred"), text("obj"), "|")
     fields = {
         "partition": name,
-        "repo": graph["repo"].iloc[0],
-        "lang": graph["lang"].iloc[0],
+        "repo": graph.column("repo")[0].as_py(),
+        "lang": graph.column("lang")[0].as_py(),
         "salt": int(salt),
-        "rows": int(len(graph)),
-        "docs": int(graph["doc_id"].nunique()),
-        "mentions": int(graph["n_mentions"].sum()),
-        "triples_sha256": content_hash,
+        "rows": graph.num_rows,
+        "docs": pc.count_distinct(graph.column("doc_id"), mode="only_valid").as_py(),
+        "mentions": pc.sum(graph.column("n_mentions")).as_py(),
+        "triples_sha256": hashlib.sha256(
+            "\n".join(lines.to_pylist()).encode()
+        ).hexdigest(),
     }
-    table = pa.Table.from_pandas(graph, preserve_index=False)
-    return table, f"{partition}/part-{salt}.parquet", fields
+    return graph, f"{partition}/part-{salt}.parquet", fields
 
 
 def materialize_graph(
@@ -843,10 +843,11 @@ def materialize_graph(
     combined = triples_ds.map_batches(
         normalize_keys, batch_format="pyarrow"
     ).map_batches(_dedup_batch, batch_format="pyarrow")
-    # coalesce + second-level combine before the salted exchange (see
-    # dedup_triples: thousands of tiny blocks make the sort pathological)
+    # coalesce + second-level combine before the unit exchange (see
+    # dedup_triples: thousands of tiny blocks make the exchange's metadata
+    # pathological)
     combined = combined.map_batches(
-        _merge_graph_rows, batch_format="pandas", batch_size=32768,
+        _merge_graph_rows, batch_format="pyarrow", batch_size=32768,
         num_cpus=0.9,  # break fusion with the annotate chain (see dedup_triples)
     )
 

@@ -21,9 +21,13 @@ The protocol, stated plainly:
   never shuffle.  The upstream pipeline still re-executes to regenerate
   the missing rows; that is the honest contract for a deterministic
   pipeline.
-- The remaining rows go through ONE ``groupby(unit).map_groups``
-  exchange.  Each unit is one group task holding the whole unit in
-  memory: size units so that they fit a worker's heap (the cost of
+- The remaining rows go through ONE sampling-free exchange
+  (:func:`deduce_ray.ops.agg.shard_exchange`): each unit's name hashes
+  (crc32) to one of ``merge_shards()`` shards, and one task per shard
+  sorts its rows by unit and writes the units one after another, so the
+  writes spread over every CPU whatever the upstream block count.  A
+  shard is held whole in memory, about ``units / merge_shards()`` units
+  at once: size units so that a shard fits a worker's heap (the cost of
   atomic per-unit commit).
 - Each unit's parquet file is renamed into place, THEN its manifest, so
   a manifest never names a missing or partial file.
@@ -38,7 +42,9 @@ The bucketed layout (:func:`write_parquet_resumable`):
   non-null, and (per the funnel's module-wide contract) unique.
 - Size ``n_buckets`` so that ``corpus / n_buckets`` fits a worker's heap
   (at 100 TB you want thousands of buckets, not the CLI's single-node
-  default of 64).
+  default of 64).  A writing task holds one shard, ``corpus /
+  min(n_buckets, merge_shards())``: the shard count grows with the
+  cluster's CPUs, not with ``n_buckets``.
 - Within a bucket, rows are sorted by ``sort_cols`` before writing so a
   re-run of the same input reproduces the same bytes — manifests carry
   a content hash over the sorted id column to make that checkable.
@@ -49,17 +55,20 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import zlib
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 
+from deduce_ray.ops.agg import merge_shards, shard_exchange
 from deduce_ray.state.base import atomic_write_json, atomic_write_parquet
 
 MANIFESTS = "_manifests"
-# the unit-name column commit_units adds for routing
+# the columns commit_units adds for routing: the unit name and its shard
 _UNIT = "__unit"
+_SHARD = "__shard"
 
 # Version of the bucketed on-disk layout (file naming + bucket
 # derivation).  Recorded in every manifest; resume refuses a mismatch for
@@ -134,42 +143,56 @@ def commit_units(
     (out_dir / MANIFESTS).mkdir(parents=True, exist_ok=True)
     skipped = completed_units(out_dir, identity, sink)
     done = pa.array(sorted(skipped), type=pa.string())
+    n_shards = merge_shards()
 
     def route(batch: pa.Table) -> pa.Table:
-        if _UNIT in batch.column_names:
-            raise ValueError(
-                f"{sink}: input already has a {_UNIT} column (reserved "
-                "for routing)"
-            )
+        for reserved in (_UNIT, _SHARD):
+            if reserved in batch.column_names:
+                raise ValueError(
+                    f"{sink}: input already has a {reserved} column "
+                    "(reserved for routing)"
+                )
         batch = batch.append_column(_UNIT, unit_of(batch))
         if len(done):
             batch = batch.filter(
                 pc.invert(pc.is_in(batch.column(_UNIT), value_set=done))
             )
-        return batch
-
-    def write_unit(group: pa.Table) -> pa.Table:
-        t0 = time.time()
-        name = group.column(_UNIT)[0].as_py()
-        table, data_path, fields = make_unit(name, group.drop_columns([_UNIT]))
-        atomic_write_parquet(table, str(out_dir / data_path))
-        manifest = {
-            **fields,
-            "duration_s": round(time.time() - t0, 3),
-            **identity,
-            "complete": True,
-        }
-        atomic_write_json(str(out_dir / MANIFESTS / f"{name}.json"), manifest)
-        return pa.Table.from_pylist(
-            [{k: v for k, v in manifest.items() if k not in identity and k != "complete"}]
+        # hash each distinct unit name once, not each row
+        units = batch.column(_UNIT).combine_chunks().dictionary_encode()
+        shard_of = pa.array(
+            [zlib.crc32(u.encode()) % n_shards for u in units.dictionary.to_pylist()],
+            type=pa.int64(),
         )
+        return batch.append_column(_SHARD, shard_of.take(units.indices))
 
-    written = (
-        ds.map_batches(route, batch_format="pyarrow")
-        .groupby(_UNIT)
-        .map_groups(write_unit, batch_format="pyarrow")
-        .materialize()
-    )
+    def write_units(shard: pa.Table) -> pa.Table:
+        shard = shard.sort_by(_UNIT)
+        runs = pc.value_counts(shard.column(_UNIT))
+        runs = runs.take(pc.sort_indices(runs.field("values")))  # the rows' order
+        manifests, start = [], 0
+        for name, length in zip(
+            runs.field("values").to_pylist(), runs.field("counts").to_pylist()
+        ):
+            t0 = time.time()
+            rows = shard.slice(start, length).drop_columns([_UNIT])
+            start += length
+            table, data_path, fields = make_unit(name, rows)
+            atomic_write_parquet(table, str(out_dir / data_path))
+            manifest = {
+                **fields,
+                "duration_s": round(time.time() - t0, 3),
+                **identity,
+                "complete": True,
+            }
+            atomic_write_json(str(out_dir / MANIFESTS / f"{name}.json"), manifest)
+            manifests.append(
+                {k: v for k, v in manifest.items() if k not in identity and k != "complete"}
+            )
+        return pa.Table.from_pylist(manifests)
+
+    written = shard_exchange(
+        ds.map_batches(route, batch_format="pyarrow"), _SHARD, n_shards, write_units
+    ).materialize()
     return written, skipped
 
 

@@ -334,3 +334,136 @@ class TestGraphSinkProtocol:
         materialize_graph(ray.data.from_items(_triples()), tmp_path, run_id="r2")
         run2 = json.loads((tmp_path / "_manifests" / "_run_r2.json").read_text())
         assert run2["units_written"] == 0 and run2["resumed_units_skipped"] == 2
+
+
+class TestUnitExchange:
+    """The committer's exchange spreads the unit writes over shards."""
+
+    def test_forty_units_over_many_blocks(self, ray_session, tmp_path):
+        import ray
+
+        from deduce_ray.sinks import commit_units
+
+        n = 4000
+        tbl = pa.table(
+            {
+                "unit": [f"u{i % 40:02d}" for i in range(n)],
+                "v": pa.array(range(n), pa.int64()),
+            }
+        )
+
+        def unit_of(batch):
+            return batch.column("unit")
+
+        def make_unit(name, rows):
+            return rows.sort_by("v"), f"{name}.parquet", {"rows": rows.num_rows}
+
+        written, skipped = commit_units(
+            ray.data.from_arrow(tbl).repartition(100),
+            tmp_path,
+            unit_of,
+            make_unit,
+            {"layout": 0},
+        )
+        assert skipped == {}
+        manifests = sorted(p.stem for p in (tmp_path / "_manifests").glob("*.json"))
+        files = sorted(p.stem for p in tmp_path.glob("*.parquet"))
+        assert manifests == files == [f"u{i:02d}" for i in range(40)]
+        units = written.take_all()
+        assert len(units) == 40 and sum(u["rows"] for u in units) == n
+        assert sum(pq.read_table(tmp_path / f"{u}.parquet").num_rows for u in files) == n
+        # more than one task wrote: the units spread over several blocks
+        filled = [b for b in written.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows]
+        assert len(filled) > 1
+
+
+def _contract_triples():
+    """Graph edge cases: null and '' repos (one sink partition), repos
+    that need slug escapes, null doc_id, pred, obj and span."""
+    repos = [None, "", "org__b", "x%y_z"]
+    return [
+        {
+            "doc_id": None if i == 5 else f"{i % 3:08x}",
+            "repo": repos[i % 4], "path": "p", "commit": "c",
+            "lang": "nl", "pred": None if i == 6 else "id",
+            "obj": None if i == 7 else f"o{i % 5}",
+            "start_char": None if i % 4 == 1 else i, "end_char": i + 2,
+            "entity_id": "ID-1",
+        }
+        for i in range(16)
+    ]
+
+
+class TestGraphSinkContract:
+    def test_unit_names_and_manifests_are_pinned(self, ray_session, tmp_path):
+        """Unit names and manifest fields are the on-disk contract that
+        resume reads: these literals were written by the earlier
+        (pandas-merge, map_groups) sink, so a directory it wrote resumes."""
+        import ray
+
+        from deduce_ray.rayops.kg import materialize_graph
+
+        materialize_graph(
+            ray.data.from_items(_contract_triples()),
+            tmp_path,
+            hot_keys={"x%y_z"},
+            n_salts=2,
+        ).to_pandas()
+        keep = ("triples_sha256", "rows", "docs", "mentions", "repo", "lang", "salt")
+        got = {
+            mf.stem: {k: json.loads(mf.read_text())[k] for k in keep}
+            for mf in (tmp_path / "_manifests").glob("*.json")
+        }
+        assert got == {
+            "__nl__0": {
+                "triples_sha256": "12c4716f7624ca8ab149ee935f36bf629421083a5c02de7b26f03ca89bd28a15",
+                "rows": 8, "docs": 3, "mentions": 8, "repo": "", "lang": "nl", "salt": 0,
+            },
+            "org%5F%5Fb__nl__0": {
+                "triples_sha256": "a071850bb05cfb34eafa09462123be3f4bbe870beaefc6feab583a52087c29cf",
+                "rows": 4, "docs": 3, "mentions": 4, "repo": "org__b", "lang": "nl", "salt": 0,
+            },
+            "x%25y%5Fz__nl__0": {
+                "triples_sha256": "097c30a1bc553eab92682a7a2d2e1bec059982969114e4f6ce8eaea98d66613f",
+                "rows": 3, "docs": 2, "mentions": 3, "repo": "x%y_z", "lang": "nl", "salt": 0,
+            },
+            "x%25y%5Fz__nl__1": {
+                "triples_sha256": "2b1a3526928bb6b3f82fc81edb1867a6c4be2351fe948e6ece6a8a881615ab41",
+                "rows": 1, "docs": 1, "mentions": 1, "repo": "x%y_z", "lang": "nl", "salt": 1,
+            },
+        }
+
+    def test_units_share_one_schema(self, ray_session, tmp_path):
+        """A unit with a null span writes first_start_char as int32, like
+        every other unit, so the directory reads as one dataset."""
+        import pyarrow.dataset as pds
+        import ray
+
+        from deduce_ray.rayops.kg import materialize_graph
+
+        def mentions(repo, n, null_span):
+            return pa.table(
+                {
+                    "doc_id": [f"{repo}{i:07x}" for i in range(n)],
+                    "repo": [repo] * n, "path": ["p"] * n, "commit": ["c"] * n,
+                    "lang": ["nl"] * n, "pred": ["id"] * n,
+                    "obj": [f"o{i}" for i in range(n)],
+                    "start_char": pa.array(
+                        [None if null_span and i == 0 else i for i in range(n)], pa.int32()
+                    ),
+                    "end_char": pa.array(range(2, n + 2), pa.int32()),
+                    "entity_id": ["ID-1"] * n,
+                }
+            )
+
+        # one coalescer batch (32768 rows) holds repo a with its null span,
+        # the next holds repo b
+        ds = ray.data.from_arrow([mentions("a", 32768, True), mentions("b", 10, False)])
+        materialize_graph(ds, tmp_path).to_pandas()
+        files = sorted(tmp_path.glob("*/part-*.parquet"))
+        assert len(files) == 2
+        for f in files:
+            assert pq.read_schema(f).field("first_start_char").type == pa.int32(), f
+        table = pds.dataset([str(f) for f in files], format="parquet").to_table()
+        assert table.num_rows == 32778
+        assert table.column("first_start_char").null_count == 1
