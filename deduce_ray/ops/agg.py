@@ -15,25 +15,29 @@ import pandas as pd
 _PARTIAL_KIND = {"sum": "sum", "min": "min", "max": "max", "count": "sum", "sum_sq": "sum"}
 
 
-def merge_shards(minimum: int = 32, per_cpu: int = 4) -> int:
-    """Default shard count for the sharded merge shuffles: 4 shards per
-    CPU keeps every core busy with load-balance headroom, while staying
-    far below the old fixed 256 — Ray's ``map_groups`` dispatches one
-    pandas call per shard, a fixed ~5-10 ms each, which at 256 shards
-    dominated small-corpus merge stages (measured: the flagship dedup
-    merge dropped 3.4 s -> <1 s at 4 x CPUs).  The shard keys are uniform
-    hashes, so fewer shards cannot create skew; at cluster scale the
-    count grows with the CPU count automatically.  Resolved at pipeline
-    BUILD time; if Ray is not initialized yet the 32-CPU fallback applies
-    (128 shards) — call after ray.init() for an exact fit."""
+def _cluster_cpus() -> int:
+    """The cluster's CPU count, or 32 if Ray is not initialized yet."""
     import ray
 
-    cpus = (
-        int(ray.cluster_resources().get("CPU", 32))
-        if ray.is_initialized()
-        else 32
-    )
-    return max(minimum, per_cpu * cpus)
+    if not ray.is_initialized():
+        return 32
+    return int(ray.cluster_resources().get("CPU", 32))
+
+
+def merge_shards(minimum: int = 32, per_cpu: int = 4) -> int:
+    """Default shard count for the sharded merge shuffles: 4 shards per
+    CPU, at least 32, far below the old fixed 256.  For the remaining
+    ``map_groups`` exchanges it is also the dispatch count: one pandas
+    call per shard, a fixed ~5-10 ms each, which at 256 shards dominated
+    small-corpus merge stages (measured: the flagship dedup merge dropped
+    3.4 s -> <1 s at 4 x CPUs).  For :func:`shard_exchange` it is only
+    the hash space: that exchange merges in ``min(n_shards, CPUs)``
+    tasks.  The shard keys are uniform hashes, so fewer shards cannot
+    create skew; the count grows with the CPU count.  Resolved at
+    pipeline BUILD time; if Ray is not initialized yet the 32-CPU
+    fallback applies (128 shards) — call after ray.init() for an exact
+    fit."""
+    return max(minimum, per_cpu * _cluster_cpus())
 
 
 def merge_shards_pow2(minimum: int = 32, per_cpu: int = 4) -> int:
@@ -43,37 +47,61 @@ def merge_shards_pow2(minimum: int = 32, per_cpu: int = 4) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def per_distinct(col, fn, null: int = 0):
+    """``fn`` of each value of a pyarrow array as an int64 numpy array,
+    called once per distinct value (hash a key column by its distinct
+    values, not row by row); a null maps to ``null``."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col)
+    values = np.array([fn(v) for v in enc.dictionary.to_pylist()] + [null], dtype=np.int64)
+    return values[pc.fill_null(enc.indices, len(values) - 1).to_numpy()]
+
+
 def shard_exchange(ds, shard_col: str, n_shards: int, merge):
     """Sampling-free exchange: rows tagged with an integer shard in
     ``[0, n_shards)`` meet their shard, and ``merge`` runs once per
-    shard on the whole shard (a pyarrow Table without ``shard_col``).
+    partition, ``P = min(n_shards, cluster CPUs)`` partitions, on a
+    pyarrow Table without ``shard_col``.  A partition holds a contiguous
+    range of whole shards, so ``merge`` must merge by key, not assume one
+    shard per call.
 
     The shard values are known, so the sort takes analytic boundaries
-    ``1 .. n_shards-1``: Ray skips its sampling pass, and the exchange has
-    exactly ``n_shards`` output partitions whatever the upstream block
-    count (a sampled sort makes one per input block: a coalesced input
-    merges in one task).  A sort reduce returns one block however large,
-    and ``batch_size=None`` hands each block to one call, the contract
-    Ray's own ``map_groups`` relies on.  An empty shard's block carries no
-    rows and no columns (Ray's reduce drops its schema and its map stage
-    passes empty blocks through without a call); the result's schema is
-    the merge output's as soon as one shard has rows.
+    ``[i * n_shards // P for i in 1..P-1]``: Ray skips its sampling pass,
+    and the exchange has exactly ``P`` output partitions whatever the
+    upstream block count (a sampled sort makes one per input block: a
+    coalesced input merges in one task).  Each partition costs a sort
+    partition and a task, ~4-6 ms per exchange on 4 CPUs, so ``n_shards``
+    sets only the hash space and the task count follows the CPUs.  A sort
+    reduce returns one block however large, and ``batch_size=None`` hands
+    each block to one call, the contract Ray's own ``map_groups`` relies
+    on.  An empty partition's block carries no rows and no columns (Ray's
+    reduce drops its schema and its map stage passes empty blocks through
+    without a call); the result's schema is the merge output's as soon as
+    one partition has rows.
 
     ``merge`` keeps the name Ray gives the operator, ``MapBatches(<name>)``.
     """
     import functools
 
-    if n_shards == 1:
+    parts = max(1, min(n_shards, _cluster_cpus()))
+    if parts == 1:
         # boundaries=[] would mean "sample them"
-        shards = ds.repartition(1)
+        partitioned = ds.repartition(1)
     else:
-        shards = ds.sort(shard_col, boundaries=list(range(1, n_shards)))
+        partitioned = ds.sort(
+            shard_col, boundaries=[i * n_shards // parts for i in range(1, parts)]
+        )
 
     @functools.wraps(merge)
-    def merge_shard(shard):
-        return merge(shard.drop_columns([shard_col]))
+    def merge_partition(rows):
+        return merge(rows.drop_columns([shard_col]))
 
-    return shards.map_batches(merge_shard, batch_size=None, batch_format="pyarrow")
+    return partitioned.map_batches(merge_partition, batch_size=None, batch_format="pyarrow")
 
 
 def grouped_agg(

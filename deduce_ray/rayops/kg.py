@@ -11,12 +11,15 @@ Scale notes (north_rule):
     cannot straggle them; (repo, lang) is the OUTPUT partitioning key,
     applied at the sink with hot-key salting.
   - The graph path's exchanges (dedup, the hot-key count, the sink's
-    unit writes) use :func:`deduce_ray.ops.agg.shard_exchange`: integer
-    shards take a sort with analytic boundaries, so there is no sampling
-    pass, the partition count is the shard count rather than the
-    (coalesced, often single) upstream block count, and each shard merges
-    in one Arrow call.  The graph merge is Arrow ``group_by`` throughout;
-    no pandas frame is built between annotate and the parquet files.
+    unit writes) and the analytics tail's (co-occurrence, the edge sum
+    behind the incremental store, the components name join) use
+    :func:`deduce_ray.ops.agg.shard_exchange`: integer shards take a
+    sort with analytic boundaries, so there is no sampling pass, the
+    partition count is ``min(n_shards, CPUs)`` rather than the
+    (coalesced, often single) upstream block count, and each partition
+    merges in one Arrow call.  The graph merge is Arrow ``group_by``
+    throughout; no pandas frame is built between annotate and the
+    parquet files.
   - Materialization writes one parquet file + one manifest per partition;
     a manifest is written only after its data file, so a re-run can skip
     complete partitions (resume) and re-do partial ones idempotently.
@@ -31,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 
+from deduce_ray.ops.agg import per_distinct
 from deduce_ray.sinks import commit_units, completed_units, write_run_manifest
 
 _GRAPH_KEY = ["repo", "lang", "doc_id", "pred", "obj", "entity_id"]
@@ -129,8 +133,7 @@ def dedup_triples(triples_ds, by_doc_first: bool = False, n_buckets: int | None 
         out = _merge_graph_rows(batch)
         # _doc_bucket, not a bare int(d[:4], 16): ids may be null, and
         # are not guaranteed hex for external callers
-        buckets = [_doc_bucket(d, n_buckets) for d in out.column("doc_id").to_pylist()]
-        return out.append_column("doc_bucket", pa.array(buckets, type=pa.int64()))
+        return out.append_column("doc_bucket", _doc_buckets(out.column("doc_id"), n_buckets))
 
     # batch_size coalesces the many small combiner outputs into few blocks
     # before the exchange (thousands of blocks x n_buckets pieces of
@@ -215,6 +218,97 @@ def canonical_entities(triples_ds):
     )
 
 
+_EDGE_KEY = ["pred_a", "obj_a", "pred_b", "obj_b"]
+
+
+def _one_array(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _doc_buckets(doc_ids, n: int) -> pa.Array:
+    """:func:`_doc_bucket` of each id."""
+    return pa.array(per_distinct(doc_ids, lambda d: _doc_bucket(d, n)))
+
+
+def _edge_shards(edges: pa.Table, n: int) -> pa.Array:
+    """Shard of each edge key in ``[0, n)``: the crc32 codes of its four
+    fields, mixed."""
+    h = np.zeros(edges.num_rows, dtype=np.uint64)
+    for col in _EDGE_KEY:
+        # null maps to 2**32, which no crc32 reaches
+        crc = per_distinct(
+            edges.column(col).cast(pa.string()), lambda v: zlib.crc32(v.encode()), 1 << 32
+        )
+        h = h * np.uint64(1_000_003) ^ crc.astype(np.uint64)
+    return pa.array((h % np.uint64(n)).astype(np.int64))
+
+
+def _cooccurrence_pairs(
+    mentions: pa.Table, max_mentions_per_doc: int | None = None
+) -> pa.Table:
+    """(doc_id, pred, obj) mention rows holding whole documents -> their
+    partial edge counts (pred_a, obj_a, pred_b, obj_b, n_docs).
+
+    A self-join on ``doc_id`` (null ids join nothing) of the distinct
+    mentions, kept where the pair is ordered by (pred, obj); a null
+    comparison is false, as in the oracle's SQL."""
+    import logging
+
+    import pyarrow.compute as pc
+
+    mentions = mentions.group_by(["doc_id", "pred", "obj"]).aggregate([])
+    if max_mentions_per_doc is not None and mentions.num_rows:
+        sizes = mentions.group_by("doc_id").aggregate([([], "count_all")])
+        over = sizes.filter(pc.greater(sizes.column("count_all"), max_mentions_per_doc))
+        if over.num_rows:
+            logging.getLogger(__name__).warning(
+                "cooccurrence_edges: skipped %d document(s) exceeding "
+                "max_mentions_per_doc=%d (largest had %d mentions)",
+                over.num_rows,
+                max_mentions_per_doc,
+                pc.max(over.column("count_all")).as_py(),
+            )
+            skipped = _one_array(over.column("doc_id"))
+            mentions = mentions.filter(
+                pc.invert(pc.is_in(mentions.column("doc_id"), value_set=skipped))
+            )
+    pairs = mentions.join(mentions, keys="doc_id", left_suffix="_a", right_suffix="_b")
+    ordered = pc.or_kleene(
+        pc.less(pairs.column("pred_a"), pairs.column("pred_b")),
+        pc.and_kleene(
+            pc.equal(pairs.column("pred_a"), pairs.column("pred_b")),
+            pc.less(pairs.column("obj_a"), pairs.column("obj_b")),
+        ),
+    )
+    edges = pairs.filter(ordered).group_by(_EDGE_KEY).aggregate([([], "count_all")])
+    return pa.table(
+        {**{k: edges.column(k) for k in _EDGE_KEY}, "n_docs": edges.column("count_all")}
+    )
+
+
+def sum_edges(edges_ds, n_shards: int | None = None):
+    """Edge rows (pred_a, obj_a, pred_b, obj_b, n_docs) -> one row per
+    edge key with ``n_docs`` summed: one sampling-free exchange on a
+    crc32 edge shard, merged with an Arrow ``group_by``.  Null key fields
+    form their own groups."""
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
+
+    if n_shards is None:
+        n_shards = merge_shards()
+
+    def tag_edges(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__shard", _edge_shards(batch, n_shards))
+
+    def sum_edge_counts(rows: pa.Table) -> pa.Table:
+        summed = rows.group_by(_EDGE_KEY).aggregate([("n_docs", "sum")])
+        return pa.table(
+            {**{k: summed.column(k) for k in _EDGE_KEY}, "n_docs": summed.column("n_docs_sum")}
+        )
+
+    tagged = edges_ds.map_batches(tag_edges, batch_size=None, batch_format="pyarrow")
+    return shard_exchange(tagged, "__shard", n_shards, sum_edge_counts)
+
+
 def cooccurrence_edges(
     triples_ds,
     n_buckets: int | None = None,
@@ -225,25 +319,25 @@ def cooccurrence_edges(
     form an undirected edge, weighted by the number of distinct documents
     in which they co-occur.
 
-    Scale shape: per-batch distinct combine -> ONE doc-hash merge shuffle
-    (every mention of a document shares its bucket, so within-bucket pair
-    generation is exact and the pair count per doc is bounded by its own
-    mention count squared — no cross-document blowup) -> per-bucket
-    partial edge counts (combiner) -> one (edge-hash) merge of partials.
-    Columns: pred_a, obj_a, pred_b, obj_b (pair ordered by (pred, obj)),
-    n_docs.
+    Scale shape: per-batch distinct combine -> ONE doc-hash exchange
+    (every mention of a document shares its bucket, so within-partition
+    pair generation is exact and the pair count per doc is bounded by its
+    own mention count squared — no cross-document blowup) -> per-partition
+    partial edge counts (Arrow self-join + group_by) -> one edge-hash
+    exchange summing the partials (:func:`sum_edges`).  Both exchanges
+    are :func:`deduce_ray.ops.agg.shard_exchange`.  Columns: pred_a,
+    obj_a, pred_b, obj_b (pair ordered by (pred, obj)), n_docs.
 
     ``max_mentions_per_doc``: opt-in scale guard (output-changing caps
     are OFF by default, the oracle-checked configuration stays exact) —
     a pathological document with m distinct mentions contributes
     m*(m-1)/2 pairs, so a 100k-mention doc would emit ~5e9 rows from one
-    bucket task.  When set, documents EXCEEDING the cap are skipped
+    merge task.  When set, documents EXCEEDING the cap are skipped
     whole (not truncated: dropping an arbitrary mention subset would
     bias edge weights unpredictably) and the skip count is logged."""
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     if n_buckets is None:
         n_buckets = merge_shards()
@@ -251,84 +345,24 @@ def cooccurrence_edges(
     def project(batch: pa.Table) -> pa.Table:
         t = batch.select(["doc_id", "pred", "obj"])
         # drop null-doc rows: SQL NULL joins nothing (the oracle's
-        # self-join semantics), while pandas merge matches None == None —
-        # without this every null-doc mention corpus-wide would land in
-        # bucket 0 and cross-pair into spurious edges (and an uncappable
-        # m^2 single-bucket blowup at scale)
+        # self-join semantics); kept, every null-doc mention corpus-wide
+        # would land in bucket 0 (an uncappable single-partition load)
         t = t.filter(pc.is_valid(t.column("doc_id")))
+        t = pa.table({k: _string_if_null(t.column(k)) for k in t.column_names})
         # per-batch distinct: repeated mentions of the same entity in one
         # doc must count the document once
         grouped = t.group_by(["doc_id", "pred", "obj"]).aggregate([])
-        buckets = [
-            _doc_bucket(d, n_buckets)
-            for d in grouped.column("doc_id").to_pylist()
-        ]
         return grouped.append_column(
-            "doc_bucket", pa.array(buckets, type=pa.int64())
+            "doc_bucket", _doc_buckets(grouped.column("doc_id"), n_buckets)
         )
 
-    _EDGE_KEY = ["pred_a", "obj_a", "pred_b", "obj_b"]
+    def doc_pairs(mentions: pa.Table) -> pa.Table:
+        return _cooccurrence_pairs(mentions, max_mentions_per_doc)
 
-    def doc_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        import logging
-
-        df = df.drop_duplicates(["doc_id", "pred", "obj"])
-        if max_mentions_per_doc is not None and len(df):
-            sizes = df.groupby("doc_id")["pred"].transform("size")
-            skipped = df.loc[sizes > max_mentions_per_doc, "doc_id"]
-            if len(skipped):
-                logging.getLogger(__name__).warning(
-                    "cooccurrence_edges: skipped %d document(s) exceeding "
-                    "max_mentions_per_doc=%d (largest had %d mentions)",
-                    skipped.nunique(),
-                    max_mentions_per_doc,
-                    int(sizes.max()),
-                )
-                df = df[sizes <= max_mentions_per_doc]
-        m = df.merge(df, on="doc_id", suffixes=("_a", "_b"))
-        m = m[
-            (m["pred_a"] < m["pred_b"])
-            | ((m["pred_a"] == m["pred_b"]) & (m["obj_a"] < m["obj_b"]))
-        ]
-        if m.empty:
-            return pd.DataFrame(
-                {
-                    **{k: pd.Series(dtype="object") for k in _EDGE_KEY},
-                    "n_docs": pd.Series(dtype="int64"),
-                    "__shard": pd.Series(dtype="int64"),
-                }
-            )
-        # partial combine inside the bucket before the edge merge
-        out = (
-            m.groupby(_EDGE_KEY, as_index=False, dropna=False)
-            .size()
-            .rename(columns={"size": "n_docs"})
-        )
-        out["__shard"] = (
-            pd.util.hash_pandas_object(out[_EDGE_KEY], index=False)
-            % n_buckets
-        ).astype("int64")
-        return out
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.drop(columns=["__shard"])
-            .groupby(_EDGE_KEY, as_index=False, dropna=False)
-            .agg(n_docs=("n_docs", "sum"))
-        )
-
-    return (
-        triples_ds.map_batches(
-            project, batch_format="pyarrow", batch_size=32768, num_cpus=0.9
-        )
-        .groupby("doc_bucket")
-        .map_groups(
-            lambda df: doc_pairs(df.drop(columns=["doc_bucket"])),
-            batch_format="pandas",
-        )
-        .groupby("__shard")
-        .map_groups(merge, batch_format="pandas")
+    mentions = triples_ds.map_batches(
+        project, batch_format="pyarrow", batch_size=32768, num_cpus=0.9
     )
+    return sum_edges(shard_exchange(mentions, "doc_bucket", n_buckets, doc_pairs), n_buckets)
 
 
 def _form_node_id(pred: str | None, obj_norm: str | None) -> int:
@@ -348,6 +382,29 @@ def _form_node_id(pred: str | None, obj_norm: str | None) -> int:
             parts.append(len(raw).to_bytes(8, "big") + b"\x02" + raw)
     digest = hashlib.md5(b"".join(parts)).digest()
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _node_ids(pred: pa.Array, obj: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_form_node_id` of each (pred, obj) row, hashed once per
+    distinct pair, and the row index of each distinct pair's first
+    occurrence."""
+    import pyarrow.compute as pc
+
+    words, codes = [], []
+    for col in (pred, obj):
+        enc = pc.dictionary_encode(col)
+        words.append(enc.dictionary.to_pylist() + [None])  # null is the last word
+        codes.append(pc.fill_null(enc.indices, len(words[-1]) - 1).to_numpy().astype(np.int64))
+    n_obj = len(words[1])
+    distinct, first, inverse = np.unique(
+        codes[0] * n_obj + codes[1], return_index=True, return_inverse=True
+    )
+    ids = np.fromiter(
+        (_form_node_id(words[0][c // n_obj], words[1][c % n_obj]) for c in distinct.tolist()),
+        dtype=np.int64,
+        count=len(distinct),
+    )
+    return ids[inverse], first
 
 
 # above this many forms in one (pred, length) block, block_edges switches
@@ -1239,54 +1296,42 @@ def graph_components(
     via ONE node-hash sharded merge of the (id, pred, obj) vocabulary
     against the labels — never a driver pull of either side.
     """
-    import pandas as pd
+    import pyarrow.compute as pc
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
     from deduce_ray.ops.dedup import neardup_clusters
 
     if n_shards is None:
         n_shards = merge_shards()
 
-    def to_pairs(batch: pa.Table) -> pa.Table:
-        sp = batch.column(src_cols[0]).to_pylist()
-        so = batch.column(src_cols[1]).to_pylist()
-        dp = batch.column(dst_cols[0]).to_pylist()
-        do = batch.column(dst_cols[1]).to_pylist()
-        return pa.table(
-            {
-                "id_a": pa.array(
-                    [_form_node_id(p, o) for p, o in zip(sp, so)],
-                    type=pa.int64(),
-                ),
-                "id_b": pa.array(
-                    [_form_node_id(p, o) for p, o in zip(dp, do)],
-                    type=pa.int64(),
-                ),
-            }
+    def endpoints(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
+        # every edge's source, then every edge's destination
+        return tuple(
+            pa.concat_arrays(
+                [_one_array(batch.column(c)).cast(pa.string()) for c in (s, d)]
+            )
+            for s, d in zip(src_cols, dst_cols)
         )
+
+    def to_pairs(batch: pa.Table) -> pa.Table:
+        ids, _ = _node_ids(*endpoints(batch))
+        n = batch.num_rows
+        return pa.table({"id_a": ids[:n], "id_b": ids[n:]})
 
     def vocab_rows(batch: pa.Table) -> pa.Table:
         # per-batch-distinct (id, pred, obj) rows; exact dedup happens
-        # in the sharded merge below (all rows of an id share its shard)
-        sp = batch.column(src_cols[0]).to_pylist()
-        so = batch.column(src_cols[1]).to_pylist()
-        dp = batch.column(dst_cols[0]).to_pylist()
-        do = batch.column(dst_cols[1]).to_pylist()
-        seen: dict[int, tuple] = {}
-        for p, o in zip(sp + dp, so + do):
-            seen.setdefault(_form_node_id(p, o), (p, o))
+        # in the sharded join below (all rows of an id share its shard)
+        pred, obj = endpoints(batch)
+        ids, first = _node_ids(pred, obj)
+        node = ids[first]
         return pa.table(
             {
-                "node_id": pa.array(list(seen), type=pa.int64()),
-                "pred": pa.array([v[0] for v in seen.values()]),
-                "obj": pa.array([v[1] for v in seen.values()]),
-                "shard": pa.array(
-                    [i % n_shards for i in seen], type=pa.int64()
-                ),
-                "component_id": pa.array(
-                    [None] * len(seen), type=pa.int64()
-                ),
-                "tag": pa.array(np.zeros(len(seen), dtype=np.int8)),
+                "node_id": node,
+                "pred": pred.take(first),
+                "obj": obj.take(first),
+                "shard": node % n_shards,
+                "component_id": pa.nulls(len(node), pa.int64()),
+                "tag": np.zeros(len(node), dtype=np.int8),
             }
         )
 
@@ -1307,32 +1352,31 @@ def graph_components(
                     (ids.astype(np.uint64) % n_shards).astype(np.int64)
                 ),
                 "component_id": batch.column("cluster_id"),
-                "tag": pa.array(np.ones(len(ids), dtype=np.int8)),
+                "tag": np.ones(len(ids), dtype=np.int8),
             }
         )
 
     vocab = edges_ds.map_batches(vocab_rows, batch_format="pyarrow")
     lab = labels.map_batches(label_rows, batch_format="pyarrow")
 
-    def join_shard(df: pd.DataFrame) -> pa.Table:
-        names = df[df["tag"] == 0].drop_duplicates("node_id")
-        comp = df[df["tag"] == 1][["node_id", "component_id"]]
-        m = names[["node_id", "pred", "obj"]].merge(comp, on="node_id")
+    def join_names(rows: pa.Table) -> pa.Table:
+        is_name = pc.equal(rows.column("tag"), 0)
+        names = (
+            rows.filter(is_name)
+            .group_by(["node_id", "pred", "obj"])
+            .aggregate([])
+        )
+        comps = rows.filter(pc.invert(is_name)).select(["node_id", "component_id"])
+        joined = names.join(comps, keys="node_id")
         return pa.table(
             {
-                "pred": pa.array(m["pred"], type=pa.string()),
-                "obj": pa.array(m["obj"], type=pa.string()),
-                "component_id": pa.array(
-                    m["component_id"].to_numpy(dtype=np.int64)
-                ),
+                "pred": joined.column("pred"),
+                "obj": joined.column("obj"),
+                "component_id": joined.column("component_id").cast(pa.int64()),
             }
         )
 
-    return (
-        vocab.union(lab)
-        .groupby("shard")
-        .map_groups(join_shard, batch_format="pandas")
-    )
+    return shard_exchange(vocab.union(lab), "shard", n_shards, join_names)
 
 
 def label_propagation(

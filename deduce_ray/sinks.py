@@ -23,12 +23,15 @@ The protocol, stated plainly:
   pipeline.
 - The remaining rows go through ONE sampling-free exchange
   (:func:`deduce_ray.ops.agg.shard_exchange`): each unit's name hashes
-  (crc32) to one of ``merge_shards()`` shards, and one task per shard
-  sorts its rows by unit and writes the units one after another, so the
-  writes spread over every CPU whatever the upstream block count.  A
-  shard is held whole in memory, about ``units / merge_shards()`` units
-  at once: size units so that a shard fits a worker's heap (the cost of
-  atomic per-unit commit).
+  (crc32) to one of ``n_shards = merge_shards()`` shards, the shards
+  fall into ``min(n_shards, CPUs)`` contiguous partitions (one per CPU,
+  as ``merge_shards()`` is at least 4 x CPUs), and one task per
+  partition sorts its rows by unit and writes the units one after
+  another, so the writes spread over every CPU whatever the upstream
+  block count.  A partition is held whole in memory, about
+  ``1 / min(n_shards, CPUs)`` of the remaining rows: on few CPUs a large
+  corpus can overflow a worker's heap even when each unit fits (the
+  cost of atomic per-unit commit).
 - Each unit's parquet file is renamed into place, THEN its manifest, so
   a manifest never names a missing or partial file.
 - ``resume=False`` refuses a non-empty output directory, where output
@@ -42,9 +45,9 @@ The bucketed layout (:func:`write_parquet_resumable`):
   non-null, and (per the funnel's module-wide contract) unique.
 - Size ``n_buckets`` so that ``corpus / n_buckets`` fits a worker's heap
   (at 100 TB you want thousands of buckets, not the CLI's single-node
-  default of 64).  A writing task holds one shard, ``corpus /
-  min(n_buckets, merge_shards())``: the shard count grows with the
-  cluster's CPUs, not with ``n_buckets``.
+  default of 64).  A writing task holds about ``corpus / min(n_buckets,
+  CPUs)``: the task count grows with the cluster's CPUs, not with
+  ``n_buckets``.
 - Within a bucket, rows are sorted by ``sort_cols`` before writing so a
   re-run of the same input reproduces the same bytes — manifests carry
   a content hash over the sorted id column to make that checkable.
@@ -62,7 +65,7 @@ from typing import Callable
 import numpy as np
 import pyarrow as pa
 
-from deduce_ray.ops.agg import merge_shards, shard_exchange
+from deduce_ray.ops.agg import merge_shards, per_distinct, shard_exchange
 from deduce_ray.state.base import atomic_write_json, atomic_write_parquet
 
 MANIFESTS = "_manifests"
@@ -157,24 +160,19 @@ def commit_units(
             batch = batch.filter(
                 pc.invert(pc.is_in(batch.column(_UNIT), value_set=done))
             )
-        # hash each distinct unit name once, not each row
-        units = batch.column(_UNIT).combine_chunks().dictionary_encode()
-        shard_of = pa.array(
-            [zlib.crc32(u.encode()) % n_shards for u in units.dictionary.to_pylist()],
-            type=pa.int64(),
-        )
-        return batch.append_column(_SHARD, shard_of.take(units.indices))
+        shard_of = per_distinct(batch.column(_UNIT), lambda u: zlib.crc32(u.encode()) % n_shards)
+        return batch.append_column(_SHARD, pa.array(shard_of))
 
-    def write_units(shard: pa.Table) -> pa.Table:
-        shard = shard.sort_by(_UNIT)
-        runs = pc.value_counts(shard.column(_UNIT))
+    def write_units(part: pa.Table) -> pa.Table:
+        part = part.sort_by(_UNIT)
+        runs = pc.value_counts(part.column(_UNIT))
         runs = runs.take(pc.sort_indices(runs.field("values")))  # the rows' order
         manifests, start = [], 0
         for name, length in zip(
             runs.field("values").to_pylist(), runs.field("counts").to_pylist()
         ):
             t0 = time.time()
-            rows = shard.slice(start, length).drop_columns([_UNIT])
+            rows = part.slice(start, length).drop_columns([_UNIT])
             start += length
             table, data_path, fields = make_unit(name, rows)
             atomic_write_parquet(table, str(out_dir / data_path))

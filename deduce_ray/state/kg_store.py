@@ -41,8 +41,6 @@ import os
 
 from deduce_ray.state.base import atomic_write_json
 
-EDGE_KEY = ["pred_a", "obj_a", "pred_b", "obj_b"]
-
 
 class KGStore:
     def __init__(self, store_dir: str) -> None:
@@ -114,12 +112,13 @@ class KGStore:
 
     def merged_edges(self):
         """One edge table over every COMMITTED ingest: read the per-label
-        parquet, merge-sum ``n_docs`` on the edge key (a narrow sharded
-        exchange via the shared grouped_agg machinery).  Returns None
-        when the store has no committed ingests."""
+        parquet, merge-sum ``n_docs`` on the edge key (the narrow edge-sum
+        exchange that :func:`deduce_ray.rayops.kg.cooccurrence_edges`
+        ends with).  Returns None when the store has no committed
+        ingests."""
         import ray.data
 
-        from deduce_ray.ops.agg import grouped_agg
+        from deduce_ray.rayops.kg import sum_edges
 
         labels = self.committed_labels()
         if not labels:
@@ -154,6 +153,4 @@ class KGStore:
         if len(labels) == 1:
             # single ingest: its table is already aggregated
             return ds
-        return grouped_agg(
-            ds, keys=EDGE_KEY, aggs={"n_docs": ("n_docs", "sum")}
-        )
+        return sum_edges(ds)

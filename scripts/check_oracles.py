@@ -3,6 +3,8 @@ entry at the given sf, run its oracle_sql() in DuckDB over the same parquet
 views, and compare row count, column names, and order-insensitive values.
 
 Usage: python scripts/check_oracles.py [sf_dir] [query ...]
+
+An unknown query name is an error (exit 2) before anything runs.
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    unknown = sorted(only - set(qs))
+    if unknown:
+        print(f"unknown query names: {', '.join(unknown)}")
+        return 2
+
     import ray
 
     if not ray.is_initialized():
@@ -167,8 +177,6 @@ def main() -> int:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True, log_to_driver=False,
                  object_store_memory=8_000_000_000)
-
-    import __ray_entry__ as entrymod
 
     con = duckdb.connect()
     # Ray's object store pins a large share of RAM in this process, but
@@ -185,7 +193,6 @@ def main() -> int:
             f"read_parquet('{sf_dir}/{table}.parquet')"
         )
 
-    qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     failures = []
 

@@ -9,12 +9,18 @@ def _rows(keys, n_shards):
     return [{"key": k, "shard": k % n_shards, "v": k * 10} for k in keys]
 
 
-def _summarizer():
+def _cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources()["CPU"])
+
+
+def _summarizer(n_shards=8):
     # built inside a function so that Ray ships it by value: workers
     # cannot import this test module
     def summarize(shard: pa.Table) -> pa.Table:
         """One row per merge call: the shards it saw and its row count."""
-        shards = sorted({k % 8 for k in shard.column("key").to_pylist()})
+        shards = sorted({k % n_shards for k in shard.column("key").to_pylist()})
         return pa.table(
             {
                 "shards": pa.array([shards], type=pa.list_(pa.int64())),
@@ -40,19 +46,39 @@ def _calls(ds) -> list[dict]:
 
 
 class TestShardExchange:
-    def test_each_shard_merged_once_from_many_blocks(self, ray_session):
+    def test_one_call_per_cpu_over_contiguous_shard_ranges(self, ray_session):
         import ray
 
-        ds = ray.data.from_items(_rows(range(400), 8), override_num_blocks=200)
+        cpus = _cpus()
+        n_shards = 2 * cpus + 1  # not a multiple of the partition count
+        ds = ray.data.from_items(
+            _rows(range(40 * n_shards), n_shards), override_num_blocks=200
+        )
         assert ds.materialize().num_blocks() >= 200
-        out = shard_exchange(ds, "shard", 8, _summarizer())
+        out = shard_exchange(ds, "shard", n_shards, _summarizer(n_shards))
         calls = _calls(out)
-        # one call per shard, each holding the whole shard and nothing else
-        assert [c["shards"] for c in calls] == [[s] for s in range(8)]
-        assert [c["rows"] for c in calls] == [50] * 8
+        # min(n_shards, CPUs) calls, each over a whole, contiguous range of
+        # shards; every shard lands in exactly one call
+        assert len(calls) == cpus
+        ranges = [c["shards"] for c in calls]
+        assert all(r == list(range(r[0], r[-1] + 1)) for r in ranges)
+        assert sum(ranges, []) == list(range(n_shards))
+        assert [c["rows"] for c in calls] == [40 * len(r) for r in ranges]
         # the shard column is dropped before the merge
         assert all(c["columns"] == ["key", "v"] for c in calls)
         assert out.schema().base_schema == SUMMARY
+
+    def test_fewer_shards_than_cpus_is_one_call_per_shard(self, ray_session):
+        import ray
+
+        n_shards = _cpus() - 1
+        assert n_shards > 1
+        ds = ray.data.from_items(
+            _rows(range(30 * n_shards), n_shards), override_num_blocks=20
+        )
+        calls = _calls(shard_exchange(ds, "shard", n_shards, _summarizer(n_shards)))
+        assert [c["shards"] for c in calls] == [[s] for s in range(n_shards)]
+        assert [c["rows"] for c in calls] == [30] * n_shards
 
     def test_one_shard(self, ray_session):
         import ray
@@ -121,5 +147,7 @@ class TestShardExchange:
             calls = _calls(shard_exchange(ds, "shard", 8, _summarizer()))
         finally:
             ctx.target_max_block_size = saved
-        assert [c["shards"] for c in calls] == [[0], [1], [2], [3]]
-        assert calls[3]["rows"] == n
+        # the partition holding shard 3 arrives whole, in one call
+        (hot_call,) = [c for c in calls if 3 in c["shards"]]
+        assert hot_call["rows"] == n + len(hot_call["shards"]) - 1
+        assert sum((c["shards"] for c in calls), []) == [0, 1, 2, 3]

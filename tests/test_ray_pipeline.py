@@ -2374,6 +2374,63 @@ class TestGraphComponents:
         assert got[("a", "b\x1fc")] == got[("u", "v")]
         assert got[("a\x1fb", "c")] != got[("a", "b\x1fc")]
 
+    def test_component_id_is_min_node_id(self, ray_session):
+        """Over many blocks, with null, empty and control-character fields:
+        the components equal a brute-force union-find, and each
+        component_id is exactly its smallest form-node id (an id above
+        2**53 survives without float rounding)."""
+        import random
+
+        import ray.data
+
+        from deduce_ray.rayops.kg import _form_node_id, graph_components
+
+        rng = random.Random(3)
+        nodes = [
+            ("p", "x"), ("p", "a\x1fb"), ("p\x1f", "ab"), ("q", "b\x00"),
+            (None, "x"), ("p", None), (None, None), ("p", ""), ("", "p"),
+        ] + [("p", f"e{i}") for i in range(30)]
+        rows = []
+        for _ in range(60):
+            (pa_, oa), (pb, ob) = rng.sample(nodes, 2)
+            rows.append({"pred_a": pa_, "obj_a": oa, "pred_b": pb, "obj_b": ob})
+        got = {
+            (r["pred"], r["obj"]): r["component_id"]
+            for r in graph_components(
+                ray.data.from_items(rows, override_num_blocks=9)
+            ).take_all()
+        }
+        parent = {}
+
+        def find(v):
+            while parent.setdefault(v, v) != v:
+                v = parent[v]
+            return v
+
+        for r in rows:
+            a, b = find((r["pred_a"], r["obj_a"])), find((r["pred_b"], r["obj_b"]))
+            parent[a] = b
+        members: dict = {}
+        for v in list(parent):
+            members.setdefault(find(v), []).append(v)
+        want = {
+            v: min(_form_node_id(*m) for m in group)
+            for group in members.values()
+            for v in group
+        }
+        assert got == want
+        assert max(want.values()) > 2**53
+
+    def test_node_ids_hash_each_distinct_pair(self):
+        from deduce_ray.rayops.kg import _form_node_id, _node_ids
+
+        pred = pa.array(["p", "p", None, "p", None, "", "p"])
+        obj = pa.array(["x", "x", "x", None, None, "", "x\x00"])
+        ids, first = _node_ids(pred, obj)
+        want = [_form_node_id(p, o) for p, o in zip(pred.to_pylist(), obj.to_pylist())]
+        assert ids.tolist() == want
+        assert sorted(first.tolist()) == [0, 2, 3, 4, 5, 6]
+
 
 class TestCooccurrence:
     def test_edges_and_weights(self, ray_session):
@@ -2443,6 +2500,138 @@ class TestCooccurrence:
             ).take_all()
         }
         assert edges == {("p", "m0", "p", "m1"): 1}
+
+    def test_matches_reference_over_many_blocks(self, ray_session):
+        """Documents spread over every input block, null doc ids, repeated
+        mentions and separator/NUL bytes in obj: the edges equal a
+        pure-Python self-join, with and without a cap."""
+        import random
+
+        import ray.data
+
+        from deduce_ray.rayops.kg import cooccurrence_edges
+
+        rng = random.Random(7)
+        objs = ["x", "y", "a\x1fb", "a", "b\x00", "b", "", None]
+        docs = [f"{i:x}" for i in range(40)] + ["doc-7", "doc-8", None]
+        per_doc = [
+            [{"doc_id": d, "pred": rng.choice("pq"), "obj": rng.choice(objs)} for _ in range(2 + 2 * i % 37)]
+            for i, d in enumerate(docs)
+        ]
+        # round-robin over the documents: each spans several input blocks
+        rows = [r for k in range(37) for mentions in per_doc for r in mentions[k : k + 1]]
+        ds = ray.data.from_items(rows, override_num_blocks=24)
+        full = _reference_edges(rows)
+        assert any(k[1] == "a\x1fb" or k[3] == "b\x00" for k in full)
+        assert {} != _reference_edges(rows, 9) != full
+        for cap in (None, 9):
+            got = {
+                (r["pred_a"], r["obj_a"], r["pred_b"], r["obj_b"]): r["n_docs"]
+                for r in cooccurrence_edges(ds, max_mentions_per_doc=cap).take_all()
+            }
+            assert got == _reference_edges(rows, cap)
+
+    def test_separator_bytes_stay_distinct(self, ray_session):
+        import ray.data
+
+        from deduce_ray.rayops.kg import cooccurrence_edges
+
+        rows = [
+            {"doc_id": "d1", "pred": "p", "obj": "a\x1fb"},
+            {"doc_id": "d1", "pred": "p", "obj": "a"},
+            {"doc_id": "d1", "pred": "p", "obj": "b\x00"},
+            {"doc_id": "d2", "pred": "p", "obj": "a"},
+            {"doc_id": "d2", "pred": "p", "obj": "b\x00"},
+            {"doc_id": "d2", "pred": "p", "obj": "b\x00"},
+        ]
+        edges = {
+            (r["pred_a"], r["obj_a"], r["pred_b"], r["obj_b"]): r["n_docs"]
+            for r in cooccurrence_edges(
+                ray.data.from_items(rows, override_num_blocks=6)
+            ).take_all()
+        }
+        assert edges == {
+            ("p", "a", "p", "a\x1fb"): 1,
+            ("p", "a", "p", "b\x00"): 2,
+            ("p", "a\x1fb", "p", "b\x00"): 1,
+        }
+
+    def test_cap_skip_is_logged(self, caplog):
+        from deduce_ray.rayops.kg import _cooccurrence_pairs
+
+        mentions = pa.table(
+            {
+                "doc_id": ["a1"] * 5 + ["b2"] * 3 + ["c3"] * 4,
+                "pred": ["p"] * 12,
+                # a1 repeats m0: 4 distinct mentions, like c3
+                "obj": ["m0", "m0", "m1", "m2", "m3", "m0", "m1", "m2", "m0", "m1", "m2", "m9"],
+            }
+        )
+        with caplog.at_level("WARNING", logger="deduce_ray.rayops.kg"):
+            out = _cooccurrence_pairs(mentions, max_mentions_per_doc=3)
+        assert sorted(out.to_pylist(), key=lambda r: (r["obj_a"], r["obj_b"])) == [
+            {"pred_a": "p", "obj_a": "m0", "pred_b": "p", "obj_b": "m1", "n_docs": 1},
+            {"pred_a": "p", "obj_a": "m0", "pred_b": "p", "obj_b": "m2", "n_docs": 1},
+            {"pred_a": "p", "obj_a": "m1", "pred_b": "p", "obj_b": "m2", "n_docs": 1},
+        ]
+        assert [r.getMessage() for r in caplog.records] == [
+            "cooccurrence_edges: skipped 2 document(s) exceeding "
+            "max_mentions_per_doc=3 (largest had 4 mentions)"
+        ]
+
+    def test_store_merged_edges_equal_from_scratch(self, ray_session, tmp_path):
+        import random
+
+        import ray.data
+
+        from deduce_ray.rayops.kg import cooccurrence_edges
+        from deduce_ray.state.kg_store import KGStore
+
+        rng = random.Random(5)
+        rows = [
+            {"doc_id": f"d{rng.randrange(90)}", "pred": rng.choice("pq"), "obj": f"e{rng.randrange(25)}"}
+            for _ in range(900)
+        ]
+        store = KGStore(str(tmp_path / "store"))
+        for label in range(3):
+            batch = [r for r in rows if int(r["doc_id"][1:]) % 3 == label]
+            store.ingest_edges(
+                f"b{label}",
+                cooccurrence_edges(ray.data.from_items(batch, override_num_blocks=4)),
+            )
+
+        def as_dict(ds):
+            return {
+                (r["pred_a"], r["obj_a"], r["pred_b"], r["obj_b"]): r["n_docs"]
+                for r in ds.take_all()
+            }
+
+        merged = as_dict(store.merged_edges())
+        assert merged == as_dict(cooccurrence_edges(ray.data.from_items(rows)))
+        assert merged == _reference_edges(rows)
+        assert max(merged.values()) > 1
+
+
+def _reference_edges(rows, cap=None) -> dict:
+    """Co-occurrence edges by brute force: per non-null document, every
+    ordered pair of its distinct (pred, obj) mentions; a null compares
+    false, as in SQL."""
+    def lt(a, b):
+        return a is not None and b is not None and a < b
+
+    docs: dict = {}
+    for r in rows:
+        if r["doc_id"] is not None:
+            docs.setdefault(r["doc_id"], set()).add((r["pred"], r["obj"]))
+    edges: dict = {}
+    for mentions in docs.values():
+        if cap is not None and len(mentions) > cap:
+            continue
+        for pa_, oa in mentions:
+            for pb, ob in mentions:
+                if lt(pa_, pb) or (pa_ is not None and pa_ == pb and lt(oa, ob)):
+                    edges[(pa_, oa, pb, ob)] = edges.get((pa_, oa, pb, ob), 0) + 1
+    return edges
 
 
 class TestEntityCanonicalization:
