@@ -69,11 +69,13 @@ def _quant_table(base: np.ndarray, quality: int) -> np.ndarray:
 
 
 def _zigzag_order() -> np.ndarray:
-    """Indices mapping a row-major flat 8x8 block to zigzag order."""
+    """Indices mapping a row-major flat 8x8 block to zigzag order (T.81
+    Figure A.6): odd anti-diagonals run down-left, so they sort by row;
+    even ones run up-right, so they sort by column."""
     order = sorted(
         ((r, c) for r in range(8) for c in range(8)),
         key=lambda rc: (rc[0] + rc[1],
-                        rc[1] if (rc[0] + rc[1]) % 2 else rc[0]),
+                        rc[0] if (rc[0] + rc[1]) % 2 else rc[1]),
     )
     return np.array([r * 8 + c for r, c in order], dtype=np.int64)
 

@@ -12,7 +12,8 @@ Scale notes (north_rule):
     applied at the sink with hot-key salting.
   - The graph path's exchanges (dedup, the hot-key count, the sink's
     unit writes) and the analytics tail's (co-occurrence, the edge sum
-    behind the incremental store, the components name join) use
+    behind the incremental store, the distributed PageRank and label
+    propagation rounds, the components name join) use
     :func:`deduce_ray.ops.agg.shard_exchange`: integer shards take a
     sort with analytic boundaries, so there is no sampling pass, the
     partition count is ``min(n_shards, CPUs)`` rather than the
@@ -20,6 +21,10 @@ Scale notes (north_rule):
     merges in one Arrow call.  The graph merge is Arrow ``group_by``
     throughout; no pandas frame is built between annotate and the
     parquet files.
+  - Graph analytics number the (pred, obj) nodes through one exact
+    Arrow dictionary (:func:`_node_codes`) and run numpy over int32
+    arcs: on the driver for bounded graphs, in per-partition merges
+    otherwise.
   - Materialization writes one parquet file + one manifest per partition;
     a manifest is written only after its data file, so a re-run can skip
     complete partitions (resume) and re-do partial ones idempotently.
@@ -230,15 +235,13 @@ def _doc_buckets(doc_ids, n: int) -> pa.Array:
     return pa.array(per_distinct(doc_ids, lambda d: _doc_bucket(d, n)))
 
 
-def _edge_shards(edges: pa.Table, n: int) -> pa.Array:
-    """Shard of each edge key in ``[0, n)``: the crc32 codes of its four
-    fields, mixed."""
-    h = np.zeros(edges.num_rows, dtype=np.uint64)
-    for col in _EDGE_KEY:
+def _key_shards(cols, n: int) -> pa.Array:
+    """Shard of each row of a string key in ``[0, n)``: the crc32 codes of
+    its columns, mixed."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for col in cols:
         # null maps to 2**32, which no crc32 reaches
-        crc = per_distinct(
-            edges.column(col).cast(pa.string()), lambda v: zlib.crc32(v.encode()), 1 << 32
-        )
+        crc = per_distinct(col.cast(pa.string()), lambda v: zlib.crc32(v.encode()), 1 << 32)
         h = h * np.uint64(1_000_003) ^ crc.astype(np.uint64)
     return pa.array((h % np.uint64(n)).astype(np.int64))
 
@@ -297,7 +300,9 @@ def sum_edges(edges_ds, n_shards: int | None = None):
         n_shards = merge_shards()
 
     def tag_edges(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__shard", _edge_shards(batch, n_shards))
+        return batch.append_column(
+            "__shard", _key_shards([batch.column(c) for c in _EDGE_KEY], n_shards)
+        )
 
     def sum_edge_counts(rows: pa.Table) -> pa.Table:
         summed = rows.group_by(_EDGE_KEY).aggregate([("n_docs", "sum")])
@@ -384,27 +389,58 @@ def _form_node_id(pred: str | None, obj_norm: str | None) -> int:
     return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
+def _cat(*cols) -> pa.Array:
+    """String columns (arrays or chunked) concatenated into one array."""
+    return pa.concat_arrays([_one_array(c).cast(pa.string()) for c in cols])
+
+
+def _node_codes(pred, obj) -> tuple[np.ndarray, pa.Table]:
+    """Dense int32 node code of each (pred, obj) row, and the node table
+    (pred, obj) holding one row per code.
+
+    Codes number the distinct pairs in lexicographic (pred, obj) order,
+    null after every string.  Each column is dictionary-encoded, its
+    dictionary ranked by Arrow's byte order (Python's ``str`` order), and
+    a pair's code is the rank of ``pred_rank * n_obj + obj_rank``.  Arrow
+    hashes and compares whole strings, so no separator or NUL byte can
+    fold two nodes into one."""
+    import pyarrow.compute as pc
+
+    words, ranks = [], []
+    for col in (pred, obj):
+        enc = pc.dictionary_encode(_cat(col))
+        order = pc.sort_indices(enc.dictionary)
+        n_words = len(order)
+        rank = np.empty(n_words + 1, dtype=np.int64)
+        rank[order.to_numpy()] = np.arange(n_words)
+        rank[n_words] = n_words  # null is the last word
+        words.append(pa.concat_arrays([enc.dictionary.take(order), pa.nulls(1, pa.string())]))
+        ranks.append(rank[pc.fill_null(enc.indices, n_words).to_numpy()])
+    n_obj = len(words[1])
+    keys, codes = np.unique(ranks[0] * n_obj + ranks[1], return_inverse=True)
+    nodes = pa.table({"pred": words[0].take(keys // n_obj), "obj": words[1].take(keys % n_obj)})
+    return codes.astype(np.int32), nodes
+
+
+def _form_node_ids(nodes: pa.Table) -> np.ndarray:
+    """:func:`_form_node_id` of each row of a (pred, obj) node table."""
+    return np.fromiter(
+        (
+            _form_node_id(p, o)
+            for p, o in zip(nodes.column("pred").to_pylist(), nodes.column("obj").to_pylist())
+        ),
+        dtype=np.int64,
+        count=nodes.num_rows,
+    )
+
+
 def _node_ids(pred: pa.Array, obj: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_form_node_id` of each (pred, obj) row, hashed once per
     distinct pair, and the row index of each distinct pair's first
     occurrence."""
-    import pyarrow.compute as pc
-
-    words, codes = [], []
-    for col in (pred, obj):
-        enc = pc.dictionary_encode(col)
-        words.append(enc.dictionary.to_pylist() + [None])  # null is the last word
-        codes.append(pc.fill_null(enc.indices, len(words[-1]) - 1).to_numpy().astype(np.int64))
-    n_obj = len(words[1])
-    distinct, first, inverse = np.unique(
-        codes[0] * n_obj + codes[1], return_index=True, return_inverse=True
-    )
-    ids = np.fromiter(
-        (_form_node_id(words[0][c // n_obj], words[1][c % n_obj]) for c in distinct.tolist()),
-        dtype=np.int64,
-        count=len(distinct),
-    )
-    return ids[inverse], first
+    codes, nodes = _node_codes(pred, obj)
+    _, first = np.unique(codes, return_index=True)
+    return _form_node_ids(nodes)[codes], first
 
 
 # above this many forms in one (pred, length) block, block_edges switches
@@ -941,6 +977,68 @@ def materialize_graph(
     return written
 
 
+def _endpoints(edges: pa.Table, src_cols, dst_cols) -> tuple[pa.Array, pa.Array]:
+    """(pred, obj) of every edge's source, then of every edge's
+    destination."""
+    return tuple(_cat(edges.column(s), edges.column(d)) for s, d in zip(src_cols, dst_cols))
+
+
+def _edge_weights(edges: pa.Table, weight_col: str | None) -> np.ndarray:
+    """Each edge's float64 weight, 1.0 without ``weight_col``."""
+    if weight_col is None:
+        return np.ones(edges.num_rows)
+    return edges.column(weight_col).cast(pa.float64()).to_numpy()
+
+
+def _driver_arcs(edges_ds, src_cols, dst_cols, weight_col=None):
+    """A materialized edge dataset pulled to the driver once, as both
+    directed arcs of every edge over node codes: ``(src, dst, w, nodes)``
+    with :func:`_node_codes`' node table."""
+    import ray
+
+    cols = [*src_cols, *dst_cols] + ([weight_col] if weight_col else [])
+    # an empty exchange partition is a zero-column block
+    blocks = [b.select(cols) for b in ray.get(edges_ds.to_arrow_refs()) if b.num_rows]
+    edges = pa.concat_tables(blocks, promote_options="permissive")
+    codes, nodes = _node_codes(*_endpoints(edges, src_cols, dst_cols))
+    m = edges.num_rows
+    w = _edge_weights(edges, weight_col)
+    return codes, np.concatenate([codes[m:], codes[:m]]), np.concatenate([w, w]), nodes
+
+
+def _plurality(dst: np.ndarray, lab: np.ndarray, n: int, votes=None):
+    """Label votes ``(dst, lab)`` over codes in ``[0, n)``, each worth one
+    vote or its ``votes`` entry -> each destination and the label with the
+    most votes for it, ties to the smallest label code."""
+    keys, inverse = np.unique(dst.astype(np.int64) * n + lab, return_inverse=True)
+    total = np.bincount(inverse, weights=votes)
+    d, lab = keys // n, keys % n
+    order = np.lexsort((lab, -total, d))
+    d, lab = d[order], lab[order]
+    first = np.r_[True, d[1:] != d[:-1]]
+    return d[first], lab[first]
+
+
+def _component_roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of ``n`` nodes joined by the arcs ``a[i]-b[i]``:
+    each node's root, the smallest node code of its component.  Min-label
+    propagation: every arc whose ends have different roots hooks the
+    larger root under the smaller, then pointer jumping flattens the
+    forest back into stars."""
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ra, rb)[live], np.minimum(ra, rb)[live])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
 def pagerank(
     edges_ds,
     damping: float = 0.85,
@@ -959,8 +1057,8 @@ def pagerank(
     Semantics (mirrored exactly by the DuckDB oracle,
     :func:`deduce_ray.oracles.kg_pagerank_sqlpreds_sql`): each
     undirected edge contributes both directed arcs, unweighted; the
-    node set is every entity with at least one edge;
-    ``rank_0(v) = 1/N`` and
+    node set is every (pred, obj) entity with at least one edge, a null
+    field being a value of its own; ``rank_0(v) = 1/N`` and
 
         rank_t(v) = (1 - damping)/N
                     + damping * sum_{u -> v} rank_{t-1}(u) / outdeg(u)
@@ -972,30 +1070,32 @@ def pagerank(
     score is rounded to 6 decimals (the repo's float-output
     convention); iteration arithmetic stays full-precision float64.
 
-    Scale shape: the directed arc list and the out-degree table are
-    sharded ONCE by a src-hash (``zlib.crc32``) and MATERIALIZED;
-    every round is two narrow exchanges — (1) the (node, rank) table
-    rides a tagged union into the arc shards, where one vectorized
-    pandas merge turns ranks into per-arc contributions, pre-summed
-    per destination within the shard; (2) the partials merge under a
-    dst-hash shard groupby, which also yields next round's rank rows
-    already carrying their shard key.  Per-round payload is
-    O(nodes + arcs) rows of (strings, float64) — never the corpus; the
-    driver holds only the scalar N.  Rounds materialize (like the
-    large-star/small-star clustering rounds) so the lazy plan does not
-    re-execute the whole history each iteration.  Partitioning
-    assumption: arcs of one src share its shard, so within-shard
-    merges are globally exact; same for dst in the sum stage.
+    Node identity: every path numbers the nodes through
+    :func:`_node_codes`, an exact Arrow dictionary over (pred, obj), and
+    runs the recurrence on int32 arc codes.
 
     ``driver_max_arcs``: graphs whose directed arc count fits the bound
-    take a DRIVER fast path (pull the arc list once, factorize nodes,
-    run the identical recurrence as vectorized bincount scatter-adds) —
+    take the DRIVER path: the materialized edge columns are pulled once,
+    coded, and the recurrence runs as numpy ``bincount`` scatter-adds —
     Ray's fixed per-exchange latency otherwise dominates small graphs
     (measured at sf0.1: 10 exchanges ≈ 7.7 s for a 6-node graph, vs
     <0.1 s driver).  0 forces the distributed rounds (how the registry
     query runs, so the SCALE path is the one value-checked vs DuckDB —
     the same convention as ann_topk_ivf's exhaustive probing); both
-    paths are equality-tested on the same graph in TestPageRank.
+    paths are equality-tested on the same graphs in TestPageRank.
+
+    Distributed shape: the directed arcs are sharded ONCE by a crc32
+    source shard and MATERIALIZED; one exchange collects each shard's
+    distinct nodes (their count is N); every round is then two
+    :func:`deduce_ray.ops.agg.shard_exchange` passes — (1) the rank rows
+    meet the arcs of their shard, where one numpy merge codes the
+    partition's nodes, derives the out-degrees from the arcs (all arcs of
+    a source share its shard) and pre-sums the contributions per
+    destination; (2) the partials meet under a destination shard, whose
+    merge sums them into next round's rank rows, already carrying their
+    shard.  Per-round payload is O(nodes + arcs) narrow rows — never the
+    corpus; the driver holds only the scalar N.  Rounds materialize so
+    the lazy plan does not re-execute the whole history each iteration.
 
     ``weight_col``: optional per-edge POSITIVE weight (e.g. the
     co-occurrence ``n_docs``) — contributions become
@@ -1005,67 +1105,64 @@ def pagerank(
     arc count and the unweighted arithmetic (and its DuckDB oracle)
     is bit-identical to before the parameter existed.
     """
-    import pandas as pd
     import ray.data
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     if n_shards is None:
         n_shards = merge_shards()
     d = float(damping)
-
-    _SCHEMA = {
-        "shard": pa.int64(),
-        "pred": pa.string(),
-        "obj": pa.string(),
-        "dpred": pa.string(),
-        "dobj": pa.string(),
-        "val": pa.float64(),
-        "tag": pa.int8(),
-    }
-
-    def _empty() -> pa.Table:
-        return pa.table(
-            {k: pa.array([], type=t) for k, t in _SCHEMA.items()}
+    edges_ds = edges_ds.materialize()
+    n_edges = edges_ds.count()
+    if not n_edges:
+        return ray.data.from_arrow(
+            pa.schema([("pred", pa.string()), ("obj", pa.string()), ("score", pa.float64())])
+            .empty_table()
         )
 
-    def _shards_of(pred, obj) -> list[int]:
-        # per-row crc32 measured FASTEST for this key shape (20.9 ms /
-        # 131k rows vs 39 ms pd.factorize-then-hash and 167 ms
-        # np.unique-then-hash — crc32 is ~160 ns/key, cheaper than any
-        # vectorized string factorization that would amortize it)
-        return [
-            zlib.crc32(f"{p}\x1f{o}".encode()) % n_shards
-            for p, o in zip(pred, obj)
-        ]
+    if driver_max_arcs and 2 * n_edges <= driver_max_arcs:
+        src, dst, w, nodes = _driver_arcs(edges_ds, src_cols, dst_cols, weight_col)
+        n = nodes.num_rows
+        deg = np.bincount(src, weights=w, minlength=n)
+        r = np.full(n, 1.0 / n)
+        for _ in range(int(n_iter)):
+            r = (1.0 - d) / n + d * np.bincount(
+                dst, weights=r[src] / deg[src] * w, minlength=n
+            )
+        return ray.data.from_arrow(nodes.append_column("score", pa.array(np.round(r, 6))))
 
-    def to_arcs(batch: pa.Table) -> pa.Table:
-        """Both directed arcs per undirected edge, tagged 0."""
-        if not batch.num_rows:
-            return _empty()
-        sp = batch.column(src_cols[0]).to_numpy(zero_copy_only=False)
-        so = batch.column(src_cols[1]).to_numpy(zero_copy_only=False)
-        dp = batch.column(dst_cols[0]).to_numpy(zero_copy_only=False)
-        do = batch.column(dst_cols[1]).to_numpy(zero_copy_only=False)
-        n = len(sp)
-        ap = np.concatenate([sp, dp])
-        ao = np.concatenate([so, do])
-        if weight_col is None:
-            w = np.ones(2 * n)
-        else:
-            w1 = batch.column(weight_col).to_numpy(
-                zero_copy_only=False
-            ).astype(np.float64)
-            w = np.concatenate([w1, w1])  # both arcs carry the edge weight
+    # one tagged schema: arcs tag 0 (pred/obj = source, dpred/dobj =
+    # destination, val = weight); rank rows tag 1 (pred/obj = node)
+    def rank_rows(nodes: pa.Table, val: np.ndarray) -> pa.Table:
+        none = pa.nulls(nodes.num_rows, pa.string())
         return pa.table(
             {
-                "shard": pa.array(_shards_of(ap, ao), type=pa.int64()),
-                "pred": pa.array(ap, type=pa.string()),
-                "obj": pa.array(ao, type=pa.string()),
-                "dpred": pa.array(np.concatenate([dp, sp]), type=pa.string()),
-                "dobj": pa.array(np.concatenate([do, so]), type=pa.string()),
-                "val": pa.array(w, type=pa.float64()),
-                "tag": pa.array(np.zeros(2 * n, dtype=np.int8)),
+                "shard": _key_shards(nodes.columns, n_shards),
+                "pred": nodes.column("pred"),
+                "obj": nodes.column("obj"),
+                "dpred": none,
+                "dobj": none,
+                "val": pa.array(val, type=pa.float64()),
+                "tag": np.ones(nodes.num_rows, dtype=np.int8),
+            }
+        )
+
+    def to_arcs(batch: pa.Table) -> pa.Table:
+        """Both directed arcs per undirected edge, each carrying the edge
+        weight."""
+        pred, obj = _endpoints(batch, src_cols, dst_cols)
+        m = batch.num_rows
+        back = np.r_[m : 2 * m, 0:m]  # each arc's reverse
+        w = _edge_weights(batch, weight_col)
+        return pa.table(
+            {
+                "shard": _key_shards([pred, obj], n_shards),
+                "pred": pred,
+                "obj": obj,
+                "dpred": pred.take(back),
+                "dobj": obj.take(back),
+                "val": np.concatenate([w, w]),
+                "tag": np.zeros(2 * m, dtype=np.int8),
             }
         )
 
@@ -1073,101 +1170,12 @@ def pagerank(
         to_arcs, batch_format="pyarrow", num_cpus=0.9
     ).materialize()
 
-    def _empty_result():
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "pred": pa.array([], type=pa.string()),
-                    "obj": pa.array([], type=pa.string()),
-                    "score": pa.array([], type=pa.float64()),
-                }
-            )
-        )
+    def source_nodes(rows: pa.Table) -> pa.Table:
+        _, nodes = _node_codes(rows.column("pred"), rows.column("obj"))
+        return rank_rows(nodes, np.zeros(nodes.num_rows))
 
-    if driver_max_arcs and arcs.count() <= driver_max_arcs:
-        # bounded driver fast path: identical recurrence, vectorized
-        # scatter-adds over factorized node ids
-        sp_, so_, dp_, do_, w_ = [], [], [], [], []
-        for b in arcs.iter_batches(batch_format="pyarrow"):
-            sp_.append(b.column("pred").to_numpy(zero_copy_only=False))
-            so_.append(b.column("obj").to_numpy(zero_copy_only=False))
-            dp_.append(b.column("dpred").to_numpy(zero_copy_only=False))
-            do_.append(b.column("dobj").to_numpy(zero_copy_only=False))
-            w_.append(b.column("val").to_numpy(zero_copy_only=False))
-        if not sp_:
-            return _empty_result()
-        # factorize on (pred, obj) TUPLES — node identity must never go
-        # through a joined string (a separator byte inside corpus-derived
-        # obj values would mangle or merge nodes); src and dst factorize
-        # against one shared vocabulary in a single pass
-        n_arcs = sum(len(x) for x in sp_)
-        keys = list(
-            zip(
-                np.concatenate(sp_ + dp_).tolist(),
-                np.concatenate(so_ + do_).tolist(),
-            )
-        )
-        key_arr = np.empty(len(keys), dtype=object)  # keep tuples 1-D
-        key_arr[:] = keys
-        codes, uniq = pd.factorize(key_arr)
-        src_idx = codes[:n_arcs]
-        dst_idx = codes[n_arcs:]
-        n = len(uniq)
-        w = np.concatenate(w_)
-        deg_v = np.bincount(src_idx, weights=w, minlength=n)
-        r = np.full(n, 1.0 / n)
-        for _ in range(int(n_iter)):
-            r = (1.0 - d) / n + d * np.bincount(
-                dst_idx, weights=r[src_idx] / deg_v[src_idx] * w, minlength=n
-            )
-        preds, objs = zip(*uniq)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "pred": pa.array(list(preds), type=pa.string()),
-                    "obj": pa.array(list(objs), type=pa.string()),
-                    "score": pa.array(np.round(r, 6), type=pa.float64()),
-                }
-            )
-        )
-
-    def local_deg(batch: pa.Table) -> pa.Table:
-        # per-batch combiner for the (weighted) out-degree — unweighted
-        # arcs carry val 1.0, so the sum IS the arc count, exactly
-        g = batch.group_by(["shard", "pred", "obj"]).aggregate(
-            [("val", "sum")]
-        )
-        return g.rename_columns(["shard", "pred", "obj", "cnt"])
-
-    def merge_deg(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["pred", "obj"], sort=False)
-            .agg(shard=("shard", "first"), cnt=("cnt", "sum"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "shard": pa.array(g["shard"], type=pa.int64()),
-                "pred": pa.array(g["pred"], type=pa.string()),
-                "obj": pa.array(g["obj"], type=pa.string()),
-                "dpred": pa.array([None] * len(g), type=pa.string()),
-                "dobj": pa.array([None] * len(g), type=pa.string()),
-                "val": pa.array(
-                    g["cnt"].to_numpy(dtype=np.float64), type=pa.float64()
-                ),
-                "tag": pa.array(np.ones(len(g), dtype=np.int8)),
-            }
-        )
-
-    deg = (
-        arcs.map_batches(local_deg, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(merge_deg, batch_format="pandas")
-        .materialize()
-    )
-    n_nodes = deg.count()
-    if not n_nodes:
-        return _empty_result()
+    nodes_ds = shard_exchange(arcs, "shard", n_shards, source_nodes).materialize()
+    n_nodes = nodes_ds.count()
     base = (1.0 - d) / n_nodes
 
     def init_ranks(batch: pa.Table) -> pa.Table:
@@ -1175,89 +1183,42 @@ def pagerank(
             batch.schema.get_field_index("val"),
             "val",
             pa.array(np.full(batch.num_rows, 1.0 / n_nodes)),
-        ).set_column(
-            batch.schema.get_field_index("tag"),
-            "tag",
-            pa.array(np.full(batch.num_rows, 2, dtype=np.int8)),
         )
 
-    ranks = deg.map_batches(init_ranks, batch_format="pyarrow")
+    ranks = nodes_ds.map_batches(init_ranks, batch_format="pyarrow")
 
-    def contrib(df: pd.DataFrame) -> pa.Table:
-        """One src-shard: rank/deg per node (vectorized merge), then
-        per-arc contributions pre-summed by destination."""
-        out_empty = pa.table(
-            {
-                "shard": pa.array([], type=pa.int64()),
-                "pred": pa.array([], type=pa.string()),
-                "obj": pa.array([], type=pa.string()),
-                "val": pa.array([], type=pa.float64()),
-            }
-        )
-        key = ["pred", "obj"]
-        dg = df[df["tag"] == 1]
-        rk = df[df["tag"] == 2]
-        ed = df[df["tag"] == 0]
-        if ed.empty or rk.empty:
-            return out_empty
-        rd = rk[key + ["val"]].merge(
-            dg[key + ["val"]], on=key, suffixes=("_r", "_d")
-        )
-        rd["c"] = rd["val_r"] / rd["val_d"]
-        # per-arc contribution scales by the arc weight (val; 1.0 when
-        # unweighted — an exact float no-op, keeping the unweighted
-        # arithmetic bit-identical to the oracle)
-        m = ed[key + ["dpred", "dobj", "val"]].merge(rd[key + ["c"]], on=key)
-        m["c"] = m["c"] * m["val"]
-        part = (
-            m.groupby(["dpred", "dobj"], sort=False)["c"].sum().reset_index()
-        )
-        return pa.table(
-            {
-                "shard": pa.array(
-                    _shards_of(part["dpred"], part["dobj"]), type=pa.int64()
-                ),
-                "pred": pa.array(part["dpred"], type=pa.string()),
-                "obj": pa.array(part["dobj"], type=pa.string()),
-                "val": pa.array(part["c"], type=pa.float64()),
-            }
+    def contrib(rows: pa.Table) -> pa.Table:
+        """Source shards: each node's out-degree from its arcs, then every
+        arc's contribution, pre-summed per destination."""
+        codes, nodes = _node_codes(rows.column("pred"), rows.column("obj"))
+        n = nodes.num_rows
+        is_arc = rows.column("tag").to_numpy() == 0
+        val = rows.column("val").to_numpy()
+        rank = np.zeros(n)
+        rank[codes[~is_arc]] = val[~is_arc]
+        src, w = codes[is_arc], val[is_arc]
+        deg = np.bincount(src, weights=w, minlength=n)
+        arc_rows = rows.filter(pa.array(is_arc))
+        dst, dst_nodes = _node_codes(arc_rows.column("dpred"), arc_rows.column("dobj"))
+        return rank_rows(
+            dst_nodes,
+            np.bincount(dst, weights=rank[src] / deg[src] * w, minlength=dst_nodes.num_rows),
         )
 
-    def new_ranks(df: pd.DataFrame) -> pa.Table:
-        """One dst-shard: total in-contribution -> next rank rows,
-        already union-ready (full schema, tag 2, own shard key)."""
-        g = (
-            df.groupby(["pred", "obj"], sort=False)
-            .agg(shard=("shard", "first"), val=("val", "sum"))
-            .reset_index()
+    def new_ranks(rows: pa.Table) -> pa.Table:
+        """Destination shards: total in-contribution -> next rank rows."""
+        codes, nodes = _node_codes(rows.column("pred"), rows.column("obj"))
+        total = np.bincount(
+            codes, weights=rows.column("val").to_numpy(), minlength=nodes.num_rows
         )
-        return pa.table(
-            {
-                "shard": pa.array(g["shard"], type=pa.int64()),
-                "pred": pa.array(g["pred"], type=pa.string()),
-                "obj": pa.array(g["obj"], type=pa.string()),
-                "dpred": pa.array([None] * len(g), type=pa.string()),
-                "dobj": pa.array([None] * len(g), type=pa.string()),
-                "val": pa.array(
-                    base + d * g["val"].to_numpy(dtype=np.float64),
-                    type=pa.float64(),
-                ),
-                "tag": pa.array(np.full(len(g), 2, dtype=np.int8)),
-            }
-        )
+        return rank_rows(nodes, base + d * total)
 
     for _ in range(int(n_iter)):
-        ranks = (
-            arcs.union(deg, ranks)
-            .groupby("shard")
-            .map_groups(contrib, batch_format="pandas")
-            .groupby("shard")
-            .map_groups(new_ranks, batch_format="pandas")
-            .materialize()
-        )
+        partials = shard_exchange(arcs.union(ranks), "shard", n_shards, contrib)
+        ranks = shard_exchange(partials, "shard", n_shards, new_ranks).materialize()
 
     def finish(batch: pa.Table) -> pa.Table:
-        v = batch.column("val").to_numpy(zero_copy_only=False)
+        v = batch.column("val").to_numpy()
         return pa.table(
             {
                 "pred": batch.column("pred"),
@@ -1284,19 +1245,25 @@ def graph_components(
 
     Returns one row per node: ``(pred, obj, component_id)`` where
     ``component_id`` is an opaque int64, equal for nodes in the same
-    component (the minimum injective form-node id of the component).
+    component: the minimum injective form-node id
+    (:func:`_form_node_id`, length-prefixed, so separator bytes in
+    corpus-derived strings cannot merge nodes) of the component.
 
-    Scale shape: nodes map to the injective 63-bit
-    :func:`_form_node_id` ids (length-prefixed encoding — separator
-    bytes in corpus-derived strings cannot merge nodes), the integer
-    pair list runs through the PROVEN component machinery
-    (:func:`deduce_ray.ops.dedup.neardup_clusters`: bounded driver
-    union-find fast path, large-star/small-star rounds with an edge-set
-    witness above the threshold), and the string identity joins back
-    via ONE node-hash sharded merge of the (id, pred, obj) vocabulary
-    against the labels — never a driver pull of either side.
+    Graphs of at most ``driver_threshold`` edges take the DRIVER path:
+    the materialized edge columns are pulled once and coded through
+    :func:`_node_codes`, min-label propagation with pointer jumping
+    labels each node with its component's smallest code, and
+    ``np.minimum.at`` takes each component's smallest form-node id.
+
+    Above it, the nodes map to their form-node ids, the integer pair
+    list runs through :func:`deduce_ray.ops.dedup.neardup_clusters`
+    (large-star/small-star rounds with an edge-set witness), and the
+    string identity joins back via ONE node-hash sharded merge of the
+    (id, pred, obj) vocabulary against the labels — never a driver pull
+    of either side.
     """
     import pyarrow.compute as pc
+    import ray.data
 
     from deduce_ray.ops.agg import merge_shards, shard_exchange
     from deduce_ray.ops.dedup import neardup_clusters
@@ -1304,24 +1271,31 @@ def graph_components(
     if n_shards is None:
         n_shards = merge_shards()
 
-    def endpoints(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
-        # every edge's source, then every edge's destination
-        return tuple(
-            pa.concat_arrays(
-                [_one_array(batch.column(c)).cast(pa.string()) for c in (s, d)]
-            )
-            for s, d in zip(src_cols, dst_cols)
+    edges_ds = edges_ds.materialize()
+    n_edges = edges_ds.count()
+    if not n_edges:
+        return ray.data.from_arrow(
+            pa.schema(
+                [("pred", pa.string()), ("obj", pa.string()), ("component_id", pa.int64())]
+            ).empty_table()
         )
 
+    if driver_threshold and n_edges <= driver_threshold:
+        src, dst, _, nodes = _driver_arcs(edges_ds, src_cols, dst_cols)
+        root = _component_roots(src, dst, nodes.num_rows)
+        least = np.full(nodes.num_rows, np.iinfo(np.int64).max)
+        np.minimum.at(least, root, _form_node_ids(nodes))
+        return ray.data.from_arrow(nodes.append_column("component_id", pa.array(least[root])))
+
     def to_pairs(batch: pa.Table) -> pa.Table:
-        ids, _ = _node_ids(*endpoints(batch))
+        ids, _ = _node_ids(*_endpoints(batch, src_cols, dst_cols))
         n = batch.num_rows
         return pa.table({"id_a": ids[:n], "id_b": ids[n:]})
 
     def vocab_rows(batch: pa.Table) -> pa.Table:
         # per-batch-distinct (id, pred, obj) rows; exact dedup happens
         # in the sharded join below (all rows of an id share its shard)
-        pred, obj = endpoints(batch)
+        pred, obj = _endpoints(batch, src_cols, dst_cols)
         ids, first = _node_ids(pred, obj)
         node = ids[first]
         return pa.table(
@@ -1330,12 +1304,11 @@ def graph_components(
                 "pred": pred.take(first),
                 "obj": obj.take(first),
                 "shard": node % n_shards,
-                "component_id": pa.nulls(len(node), pa.int64()),
+                "component_id": np.zeros(len(node), dtype=np.int64),
                 "tag": np.zeros(len(node), dtype=np.int8),
             }
         )
 
-    edges_ds = edges_ds.materialize()
     pairs = edges_ds.map_batches(to_pairs, batch_format="pyarrow")
     labels = neardup_clusters(
         pairs, rounds=rounds, driver_threshold=driver_threshold
@@ -1360,9 +1333,15 @@ def graph_components(
     lab = labels.map_batches(label_rows, batch_format="pyarrow")
 
     def join_names(rows: pa.Table) -> pa.Table:
+        # neardup_clusters' empty partitions are pandas blocks, so a
+        # partition may arrive through pandas: an all-null name column
+        # then comes back as the null type (component_id has no nulls,
+        # so it stays int64)
         is_name = pc.equal(rows.column("tag"), 0)
         names = (
             rows.filter(is_name)
+            .select(["node_id", "pred", "obj"])
+            .cast(pa.schema([("node_id", pa.int64()), ("pred", pa.string()), ("obj", pa.string())]))
             .group_by(["node_id", "pred", "obj"])
             .aggregate([])
         )
@@ -1396,75 +1375,92 @@ def label_propagation(
     — see tests/test_ray_pipeline.py's DuckDB parity test): every node
     starts labelled with itself; each round, every node simultaneously
     adopts the most frequent label among its neighbours, ties broken by
-    the lexicographically smallest (pred, obj) label; a FIXED ``n_iter``
-    rounds (synchronous LPA can oscillate on bipartite structures, so
-    the contract is "labels after k rounds", not a fixpoint).  The
-    symmetrized graph gives every node >= 1 neighbour.
+    the lexicographically smallest (pred, obj) label, a null field
+    sorting after every string (DuckDB's default ``NULLS LAST``); a
+    FIXED ``n_iter`` rounds (synchronous LPA can oscillate on bipartite
+    structures, so the contract is "labels after k rounds", not a
+    fixpoint).  The symmetrized graph gives every node >= 1 neighbour.
 
-    Scale shape mirrors :func:`pagerank`: arcs sharded ONCE by src-hash
-    and materialized; each round is two narrow exchanges — labels ride
-    a tagged union into the arc shards (vectorized pandas merge turns
-    them into per-arc votes, pre-counted per (dst, label) inside the
-    shard), then the partial counts merge under a dst-hash shard
-    groupby whose argmax/min-tie-break output IS next round's label
-    table.  Per-round payload is O(arcs) narrow string rows.
-    ``driver_max_arcs``: same bounded fast path convention as pagerank
-    (identical recurrence vectorized on the driver; 0 forces the
-    distributed rounds; equality-tested on the same graph).
+    Node identity and the tie-break both come from :func:`_node_codes`:
+    its codes follow that (pred, obj) order, so the smallest label is
+    the smallest code.  ``driver_max_arcs``: the same bounded driver
+    path as pagerank (the edge columns pulled once, every round one
+    numpy vote count over ``dst * N + label`` keys); 0 forces the
+    distributed rounds, equality-tested against it on the same graphs.
+
+    Distributed shape mirrors :func:`pagerank`: arcs sharded ONCE by
+    source and materialized, one exchange for the self-labelled nodes,
+    then per round two :func:`deduce_ray.ops.agg.shard_exchange`
+    passes — labels meet the arcs of their shard, whose numpy merge
+    turns them into per-arc votes pre-counted per (destination, label);
+    the partial counts meet under a destination shard, whose merge
+    picks each destination's winner, which IS next round's label table.
+    Per-round payload is O(arcs) narrow string rows.
     """
-    import pandas as pd
     import ray.data
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     if n_shards is None:
         n_shards = merge_shards()
 
-    def _shards_of(pred, obj) -> list[int]:
-        return [
-            zlib.crc32(f"{p}\x1f{o}".encode()) % n_shards
-            for p, o in zip(pred, obj)
-        ]
+    def result(pred, obj, label_pred, label_obj):
+        return pa.table(
+            {"pred": pred, "obj": obj, "label_pred": label_pred, "label_obj": label_obj}
+        )
 
-    # shared tagged schema: arcs tag 0 (pred/obj = src, dpred/dobj = dst),
-    # labels tag 2 (pred/obj = node, lpred/lobj = its current label)
-    def _empty() -> pa.Table:
+    edges_ds = edges_ds.materialize()
+    n_edges = edges_ds.count()
+    if not n_edges:
+        none = pa.array([], type=pa.string())
+        return ray.data.from_arrow(result(none, none, none, none))
+
+    if driver_max_arcs and 2 * n_edges <= driver_max_arcs:
+        src, dst, _, nodes = _driver_arcs(edges_ds, src_cols, dst_cols)
+        labels = np.arange(nodes.num_rows)
+        for _ in range(int(n_iter)):
+            won, label = _plurality(dst, labels[src], nodes.num_rows)
+            labels[won] = label
+        return ray.data.from_arrow(
+            result(*nodes.columns, *nodes.take(labels).columns)
+        )
+
+    # one tagged schema: arcs tag 0 (pred/obj = source, dpred/dobj =
+    # destination); label rows tag 1 (pred/obj = node, lpred/lobj = its
+    # label, n = the votes behind it)
+    def label_rows(nodes: pa.Table, labels: pa.Table, votes=None) -> pa.Table:
+        m = nodes.num_rows
+        none = pa.nulls(m, pa.string())
         return pa.table(
             {
-                "shard": pa.array([], type=pa.int64()),
-                "pred": pa.array([], type=pa.string()),
-                "obj": pa.array([], type=pa.string()),
-                "dpred": pa.array([], type=pa.string()),
-                "dobj": pa.array([], type=pa.string()),
-                "lpred": pa.array([], type=pa.string()),
-                "lobj": pa.array([], type=pa.string()),
-                "n": pa.array([], type=pa.int64()),
-                "tag": pa.array([], type=pa.int8()),
+                "shard": _key_shards(nodes.columns, n_shards),
+                "pred": nodes.column("pred"),
+                "obj": nodes.column("obj"),
+                "dpred": none,
+                "dobj": none,
+                "lpred": labels.column("pred"),
+                "lobj": labels.column("obj"),
+                "n": np.zeros(m, dtype=np.int64) if votes is None else votes,
+                "tag": np.ones(m, dtype=np.int8),
             }
         )
 
     def to_arcs(batch: pa.Table) -> pa.Table:
-        if not batch.num_rows:
-            return _empty()
-        sp = batch.column(src_cols[0]).to_numpy(zero_copy_only=False)
-        so = batch.column(src_cols[1]).to_numpy(zero_copy_only=False)
-        dp = batch.column(dst_cols[0]).to_numpy(zero_copy_only=False)
-        do = batch.column(dst_cols[1]).to_numpy(zero_copy_only=False)
-        m = len(sp)
-        ap = np.concatenate([sp, dp])
-        ao = np.concatenate([so, do])
-        nulls = pa.array([None] * (2 * m), type=pa.string())
+        pred, obj = _endpoints(batch, src_cols, dst_cols)
+        m = 2 * batch.num_rows
+        back = np.r_[m // 2 : m, 0 : m // 2]  # each arc's reverse
+        none = pa.nulls(m, pa.string())
         return pa.table(
             {
-                "shard": pa.array(_shards_of(ap, ao), type=pa.int64()),
-                "pred": pa.array(ap, type=pa.string()),
-                "obj": pa.array(ao, type=pa.string()),
-                "dpred": pa.array(np.concatenate([dp, sp]), type=pa.string()),
-                "dobj": pa.array(np.concatenate([do, so]), type=pa.string()),
-                "lpred": nulls,
-                "lobj": nulls,
-                "n": pa.array(np.zeros(2 * m, dtype=np.int64)),
-                "tag": pa.array(np.zeros(2 * m, dtype=np.int8)),
+                "shard": _key_shards([pred, obj], n_shards),
+                "pred": pred,
+                "obj": obj,
+                "dpred": pred.take(back),
+                "dobj": obj.take(back),
+                "lpred": none,
+                "lobj": none,
+                "n": np.zeros(m, dtype=np.int64),
+                "tag": np.zeros(m, dtype=np.int8),
             }
         )
 
@@ -1472,188 +1468,48 @@ def label_propagation(
         to_arcs, batch_format="pyarrow", num_cpus=0.9
     ).materialize()
 
-    def _result(df: pd.DataFrame):
-        out = pa.table(
-            {
-                "pred": pa.array(df["pred"], type=pa.string()),
-                "obj": pa.array(df["obj"], type=pa.string()),
-                "label_pred": pa.array(df["lpred"], type=pa.string()),
-                "label_obj": pa.array(df["lobj"], type=pa.string()),
-            }
-        )
-        return ray.data.from_arrow(out)
+    def self_labels(rows: pa.Table) -> pa.Table:
+        _, nodes = _node_codes(rows.column("pred"), rows.column("obj"))
+        return label_rows(nodes, nodes)
 
-    if driver_max_arcs and arcs.count() <= driver_max_arcs:
-        # bounded driver fast path: identical synchronous recurrence
-        parts = {c: [] for c in ("pred", "obj", "dpred", "dobj")}
-        for b in arcs.iter_batches(batch_format="pyarrow"):
-            for c in parts:
-                parts[c].append(b.column(c).to_numpy(zero_copy_only=False))
-        if not parts["pred"]:
-            return _result(
-                pd.DataFrame(columns=["pred", "obj", "lpred", "lobj"])
-            )
-        keys = list(
-            zip(
-                np.concatenate(parts["pred"] + parts["dpred"]).tolist(),
-                np.concatenate(parts["obj"] + parts["dobj"]).tolist(),
-            )
-        )
-        n_arcs = len(keys) // 2
-        key_arr = np.empty(len(keys), dtype=object)
-        key_arr[:] = keys
-        codes, uniq = pd.factorize(key_arr)
-        src_idx, dst_idx = codes[:n_arcs], codes[n_arcs:]
-        # label code order must be LEXICOGRAPHIC on the (pred, obj)
-        # TUPLE for min-tie-breaks (true tuple sort, not a joined string
-        # — matching the distributed path's two-column sort exactly)
-        order = sorted(range(len(uniq)), key=lambda i: uniq[i])
-        rank_of = np.empty(len(uniq), dtype=np.int64)
-        rank_of[np.asarray(order)] = np.arange(len(uniq))
-        labels = rank_of.copy()  # node's own rank-coded label
-        for _ in range(int(n_iter)):
-            df = pd.DataFrame(
-                {"dst": dst_idx, "lab": labels[src_idx]}
-            )
-            counts = (
-                df.groupby(["dst", "lab"], sort=False)
-                .size()
-                .reset_index(name="c")
-                .sort_values(
-                    ["dst", "c", "lab"], ascending=[True, False, True]
-                )
-                .drop_duplicates("dst")
-            )
-            new = labels.copy()
-            new[counts["dst"].to_numpy()] = counts["lab"].to_numpy()
-            labels = new
-        inv = np.empty(len(uniq), dtype=np.int64)
-        inv[rank_of] = np.arange(len(uniq))
-        lab_nodes = [uniq[inv[r]] for r in labels]
-        return _result(
-            pd.DataFrame(
-                {
-                    "pred": [k[0] for k in uniq],
-                    "obj": [k[1] for k in uniq],
-                    "lpred": [k[0] for k in lab_nodes],
-                    "lobj": [k[1] for k in lab_nodes],
-                }
-            )
-        )
+    labels = shard_exchange(arcs, "shard", n_shards, self_labels).materialize()
 
-    def init_labels(batch: pa.Table) -> pa.Table:
-        # distinct src nodes of the shard's arcs -> self-labelled rows
-        t = batch.group_by(["shard", "pred", "obj"]).aggregate([])
-        m = t.num_rows
-        return pa.table(
-            {
-                "shard": t.column("shard"),
-                "pred": t.column("pred"),
-                "obj": t.column("obj"),
-                "dpred": pa.array([None] * m, type=pa.string()),
-                "dobj": pa.array([None] * m, type=pa.string()),
-                "lpred": t.column("pred"),
-                "lobj": t.column("obj"),
-                "n": pa.array(np.zeros(m, dtype=np.int64)),
-                "tag": pa.array(np.full(m, 2, dtype=np.int8)),
-            }
+    def votes(rows: pa.Table) -> pa.Table:
+        """Source shards: each arc votes its source's label for its
+        destination, counted per (destination, label)."""
+        codes, nodes = _node_codes(rows.column("pred"), rows.column("obj"))
+        is_arc = rows.column("tag").to_numpy() == 0
+        label_row = np.full(nodes.num_rows, -1)
+        label_row[codes[~is_arc]] = np.flatnonzero(~is_arc)
+        arc_at = np.flatnonzero(is_arc)
+        row = label_row[codes[arc_at]]
+        arc_at, row = arc_at[row >= 0], row[row >= 0]
+        k = len(arc_at)
+        pair, pair_nodes = _node_codes(
+            _cat(rows.column("dpred").take(arc_at), rows.column("lpred").take(row)),
+            _cat(rows.column("dobj").take(arc_at), rows.column("lobj").take(row)),
         )
+        n = pair_nodes.num_rows
+        keys, count = np.unique(pair[:k].astype(np.int64) * n + pair[k:], return_counts=True)
+        return label_rows(pair_nodes.take(keys // n), pair_nodes.take(keys % n), count)
 
-    def dedup_labels(df: pd.DataFrame) -> pa.Table:
-        # Arrow output: the union with the Arrow arc blocks must keep
-        # ONE block type (a mixed union breaks the sort's boundary
-        # sampling with a pandas-vs-arrow assertion); explicit schema —
-        # the all-None dpred/dobj columns would otherwise infer as the
-        # Arrow null type instead of string
-        return pa.Table.from_pandas(
-            df.drop_duplicates(["pred", "obj"]),
-            schema=_empty().schema,
-            preserve_index=False,
+    def adopt(rows: pa.Table) -> pa.Table:
+        """Destination shards: each destination's most-voted label."""
+        k = rows.num_rows
+        pair, pair_nodes = _node_codes(
+            _cat(rows.column("pred"), rows.column("lpred")),
+            _cat(rows.column("obj"), rows.column("lobj")),
         )
-
-    labels = (
-        arcs.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(dedup_labels, batch_format="pandas")
-        .materialize()
-    )
-
-    def votes(df: pd.DataFrame) -> pa.Table:
-        out_empty = pa.table(
-            {
-                "shard": pa.array([], type=pa.int64()),
-                "dpred": pa.array([], type=pa.string()),
-                "dobj": pa.array([], type=pa.string()),
-                "lpred": pa.array([], type=pa.string()),
-                "lobj": pa.array([], type=pa.string()),
-                "n": pa.array([], type=pa.int64()),
-            }
+        won, label = _plurality(
+            pair[:k], pair[k:], pair_nodes.num_rows, rows.column("n").to_numpy()
         )
-        key = ["pred", "obj"]
-        lab = df[df["tag"] == 2]
-        ed = df[df["tag"] == 0]
-        if ed.empty or lab.empty:
-            return out_empty
-        m = ed[key + ["dpred", "dobj"]].merge(
-            lab[key + ["lpred", "lobj"]], on=key
-        )
-        part = (
-            m.groupby(["dpred", "dobj", "lpred", "lobj"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "shard": pa.array(
-                    _shards_of(part["dpred"], part["dobj"]), type=pa.int64()
-                ),
-                "dpred": pa.array(part["dpred"], type=pa.string()),
-                "dobj": pa.array(part["dobj"], type=pa.string()),
-                "lpred": pa.array(part["lpred"], type=pa.string()),
-                "lobj": pa.array(part["lobj"], type=pa.string()),
-                "n": pa.array(part["n"].to_numpy(dtype=np.int64)),
-            }
-        )
-
-    def adopt(df: pd.DataFrame) -> pa.Table:
-        g = (
-            df.groupby(["dpred", "dobj", "lpred", "lobj"], sort=False)
-            .agg(shard=("shard", "first"), n=("n", "sum"))
-            .reset_index()
-            .sort_values(
-                ["dpred", "dobj", "n", "lpred", "lobj"],
-                ascending=[True, True, False, True, True],
-            )
-            .drop_duplicates(["dpred", "dobj"])
-        )
-        m = len(g)
-        return pa.table(
-            {
-                "shard": pa.array(g["shard"], type=pa.int64()),
-                "pred": pa.array(g["dpred"], type=pa.string()),
-                "obj": pa.array(g["dobj"], type=pa.string()),
-                "dpred": pa.array([None] * m, type=pa.string()),
-                "dobj": pa.array([None] * m, type=pa.string()),
-                "lpred": pa.array(g["lpred"], type=pa.string()),
-                "lobj": pa.array(g["lobj"], type=pa.string()),
-                "n": pa.array(np.zeros(m, dtype=np.int64)),
-                "tag": pa.array(np.full(m, 2, dtype=np.int8)),
-            }
-        )
+        return label_rows(pair_nodes.take(won), pair_nodes.take(label))
 
     for _ in range(int(n_iter)):
-        labels = (
-            arcs.union(labels)
-            .groupby("shard")
-            .map_groups(votes, batch_format="pandas")
-            .groupby("shard")
-            .map_groups(adopt, batch_format="pandas")
-            .materialize()
-        )
+        partials = shard_exchange(arcs.union(labels), "shard", n_shards, votes)
+        labels = shard_exchange(partials, "shard", n_shards, adopt).materialize()
 
     def finish(batch: pa.Table) -> pa.Table:
-        return batch.select(["pred", "obj", "lpred", "lobj"]).rename_columns(
-            ["pred", "obj", "label_pred", "label_obj"]
-        )
+        return result(*(batch.column(c) for c in ("pred", "obj", "lpred", "lobj")))
 
     return labels.map_batches(finish, batch_format="pyarrow")

@@ -93,16 +93,19 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 #: above this row count the pandas sort-and-compare path (several
 #: full-frame copies) is replaced by an in-DuckDB order-insensitive
-#: compare — COUNT + SUM of per-row hashes with the same float-rounding
-#: normalization, streamed/spilled by DuckDB instead of materialized
+#: compare — COUNT, SUM of per-row hashes and BIT_XOR of a second, salted
+#: per-row hash, with the same float-rounding normalization,
+#: streamed/spilled by DuckDB instead of materialized
 BIG_COMPARE_ROWS = 5_000_000
 
 
 def big_compare(con, mine_box: list, oracle_sql: str):
-    """(status list) for huge results: row count + order-insensitive
-    row-hash sum computed inside ONE DuckDB session (hash() is stable
-    within a session), with canon()'s float normalization mirrored as
-    round(x, 9).  ``mine_box`` is a single-element list holding the
+    """(status list) for huge results: row count + two order-insensitive
+    row-hash aggregates computed inside ONE DuckDB session (hash() is
+    stable within a session), with canon()'s float normalization mirrored
+    as round(x, 9).  A sum of hashes alone is not multiset equality (two
+    differing row sets can share it), so a BIT_XOR of an independently
+    salted row hash must agree as well.  ``mine_box`` is a single-element list holding the
     engine result (Arrow table or pandas frame); the caller must drop
     its own reference — the box is EMPTIED after the engine-side
     aggregate so the (possibly object-store-backed) table is freed
@@ -134,24 +137,26 @@ def big_compare(con, mine_box: list, oracle_sql: str):
                 parts.append(f'round("{c}", 9)')
             else:
                 parts.append(f'"{c}"')
+        row = ", ".join(parts)
         return con.execute(
             f"SELECT COUNT(*), "
-            f"SUM(CAST(hash({', '.join(parts)}) AS HUGEINT)) "
+            f"SUM(CAST(hash({row}) AS HUGEINT)), "
+            f"BIT_XOR(hash({row}, 'check_oracles salt')) "
             f"FROM {view}"
         ).fetchone()
 
     con.register("__mine", mine_t)
-    n_a, h_a = agg("__mine")
+    n_a, *h_a = agg("__mine")
     con.unregister("__mine")
     del mine_t
     mine_box.clear()
     gc.collect()
-    n_b, h_b = agg("__oracle")
+    n_b, *h_b = agg("__oracle")
     status = []
     if n_a != n_b:
         status.append(f"ROWS {n_a} vs {n_b}")
     elif h_a != h_b:
-        status.append("VALUES row-hash sums differ")
+        status.append("VALUES row-hash aggregates differ")
     return status
 
 

@@ -188,3 +188,20 @@ def test_jpeg_synthesizer_matches_seed(ray_session):
         )
         got = decode_image_rgbsum(row["payload"])
         assert np.array_equal(got, expect.ravel().astype(np.int64) * 3), i
+
+
+def test_zigzag_is_t81_order():
+    """The zigzag table is shared by the encoder and the decoder, so a
+    round-trip cannot catch a wrong one (a transposed table round-trips
+    too, but decodes other encoders' files wrongly): pin it to the
+    canonical T.81 scan."""
+    from deduce_ray.ops.jpeg import _UNZIGZAG, _ZIGZAG
+
+    t81 = [
+        0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
+        12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
+        35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
+        58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+    ]
+    assert _ZIGZAG.tolist() == t81
+    assert _ZIGZAG[_UNZIGZAG].tolist() == list(range(64))

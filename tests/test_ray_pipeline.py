@@ -2244,7 +2244,10 @@ class TestLabelPropagation:
     def test_matches_duckdb_unrolled(self, ray_session):
         """The deterministic recurrence reproduced independently in SQL:
         per round, each node adopts the most frequent neighbour label,
-        ties to the smallest (pred, obj) — unrolled CTE chain."""
+        ties to the smallest (pred, obj) — unrolled CTE chain.  A null
+        field sorts after every string, DuckDB's default NULLS LAST:
+        in round 1, n6 hears n5 and (p, NULL) once each and adopts n5's
+        label."""
         import duckdb
         import pandas as pd
         import ray.data
@@ -2256,6 +2259,7 @@ class TestLabelPropagation:
             {"pred_a": "p", "obj_a": f"n{a}", "pred_b": "p", "obj_b": f"n{b}"}
             for a, b in edges
         ]
+        rows.append({"pred_a": "p", "obj_a": "n6", "pred_b": "p", "obj_b": None})
         n_iter = 4
         got = (
             label_propagation(
@@ -2265,6 +2269,13 @@ class TestLabelPropagation:
             .sort_values(["pred", "obj"])
             .reset_index(drop=True)
         )
+        driver = (
+            label_propagation(ray.data.from_items(rows), n_iter=n_iter)
+            .to_pandas()
+            .sort_values(["pred", "obj"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(driver, got)
         con = duckdb.connect()
         con.register("und", pd.DataFrame(rows))
         rounds = []
@@ -2281,7 +2292,8 @@ class TestLabelPropagation:
                          ORDER BY COUNT(*) DESC, l.label_pred, l.label_obj
                        ) AS rn
                 FROM e JOIN l{t - 1} l
-                  ON l.pred = e.sp AND l.obj = e.so
+                  ON l.pred IS NOT DISTINCT FROM e.sp
+                 AND l.obj IS NOT DISTINCT FROM e.so
                 GROUP BY e.dp, e.dob, l.label_pred, l.label_obj
               ) WHERE rn = 1
             )""")
@@ -2430,6 +2442,97 @@ class TestGraphComponents:
         want = [_form_node_id(p, o) for p, o in zip(pred.to_pylist(), obj.to_pylist())]
         assert ids.tolist() == want
         assert sorted(first.tolist()) == [0, 2, 3, 4, 5, 6]
+
+
+class TestGraphNodeIdentity:
+    """PageRank, label propagation and components on both paths over one
+    fixture whose node fields hold null, "", a NUL byte ("k" beside
+    "k\\x00x", which a hash that stops at NUL folds together) and the
+    \\x1f byte.  The expected values are literals, computed with a
+    pure-Python reference (dicts keyed by (pred, obj) tuples, null
+    ordered after every string)."""
+
+    NODES = [
+        (None, "x"), ("p", None), (None, None), ("p", ""), ("", "p"),
+        ("p", "k"), ("p", "k\x00x"), ("p", "a\x1fb"), ("p\x1fa", "b"), ("q", "z"),
+    ]
+    EDGES = [
+        (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7),
+        (7, 8), (3, 9), (4, 9),
+    ]
+
+    def _edges(self):
+        import ray.data
+
+        rows = [
+            {
+                "pred_a": self.NODES[a][0], "obj_a": self.NODES[a][1],
+                "pred_b": self.NODES[b][0], "obj_b": self.NODES[b][1],
+            }
+            for a, b in self.EDGES
+        ]
+        return ray.data.from_items(rows, override_num_blocks=3)
+
+    def test_pagerank(self, ray_session):
+        from deduce_ray.rayops.kg import pagerank
+
+        want = {
+            (None, "x"): 0.087591, ("p", None): 0.087591,
+            (None, None): 0.124819, ("p", ""): 0.124819, ("", "p"): 0.087591,
+            ("p", "k"): 0.096927, ("p", "k\x00x"): 0.096927,
+            ("p", "a\x1fb"): 0.152006, ("p\x1fa", "b"): 0.05414,
+            ("q", "z"): 0.087591,
+        }
+        for kwargs in ({"driver_max_arcs": 0}, {}):
+            got = {
+                (r["pred"], r["obj"]): r["score"]
+                for r in pagerank(self._edges(), **kwargs).take_all()
+            }
+            assert got == want, kwargs
+
+    def test_label_propagation(self, ray_session):
+        from deduce_ray.rayops.kg import label_propagation
+
+        # one round: ties break to the smallest label, null last — e.g.
+        # (None, "x") hears (p, None) and (None, None) once each
+        one_round = {
+            (None, "x"): ("p", None), ("p", None): (None, "x"),
+            (None, None): ("p", ""), ("p", ""): ("", "p"), ("", "p"): ("p", ""),
+            ("p", "k"): ("p", "a\x1fb"), ("p", "k\x00x"): ("p", "a\x1fb"),
+            ("p", "a\x1fb"): ("p", "k"), ("p\x1fa", "b"): ("p", "a\x1fb"),
+            ("q", "z"): ("", "p"),
+        }
+        left, right = self.NODES[:5] + [("q", "z")], self.NODES[5:9]
+        five_rounds = {
+            **{v: ("", "p") for v in left},
+            **{v: ("p", "a\x1fb") for v in right},
+        }
+        for n_iter, want in ((1, one_round), (5, five_rounds)):
+            for kwargs in ({"driver_max_arcs": 0}, {}):
+                got = {
+                    (r["pred"], r["obj"]): (r["label_pred"], r["label_obj"])
+                    for r in label_propagation(
+                        self._edges(), n_iter=n_iter, **kwargs
+                    ).take_all()
+                }
+                assert got == want, (n_iter, kwargs)
+
+    def test_components(self, ray_session):
+        from deduce_ray.rayops.kg import _form_node_id, graph_components
+
+        left, right = self.NODES[:5] + [("q", "z")], self.NODES[5:9]
+        assert min(_form_node_id(*v) for v in left) == 785938025651048445
+        assert min(_form_node_id(*v) for v in right) == 1497816276947310355
+        want = {
+            **{v: 785938025651048445 for v in left},
+            **{v: 1497816276947310355 for v in right},
+        }
+        for kwargs in ({"driver_threshold": 0}, {}):
+            got = {
+                (r["pred"], r["obj"]): r["component_id"]
+                for r in graph_components(self._edges(), **kwargs).take_all()
+            }
+            assert got == want, kwargs
 
 
 class TestCooccurrence:
