@@ -1,12 +1,11 @@
 """Deduplication over document tables, Ray-Data-first.
 
-All variants follow the same scale shape:
-
-  1. per-batch signature computation (stateless map_batches, no shuffle);
-  2. flat_map signatures to bucket keys (band hash / prefix);
-  3. ONE hash-shuffle groupby on the bucket key;
-  4. in-group verification (exact compare / Jaccard / Hamming) emitting
-     either survivors or near-duplicate pairs.
+Exact dedup hashes each text and merges on the hash shard, emitting
+survivors or loser ids.  The three near-dup families (MinHash, SimHash,
+embedding) are thin adapters over one banded-pairs core
+(:func:`_banded_pairs`): a per-batch payload pass, one band exchange that
+yields candidate pairs, a verify on the driver or in a two-exchange join,
+and expansion through the exact-dup groups.
 
 Hashing is md5-based and seed-free, so results are deterministic across
 processes and cluster sizes.
@@ -171,17 +170,6 @@ def _minhash_params(n_perm: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min over (a*x + b) mod 2^64 per permutation — uint64 wraparound is a
-    deterministic mixing permutation for odd a, vectorized over shingles."""
-    x = np.asarray(shingles, dtype=np.uint64)
-    if x.size == 0:
-        return np.zeros(len(a), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        prod = a[:, None] * x[None, :] + b[:, None]
-    return prod.min(axis=1)
-
-
 def _vec_matrix(column) -> np.ndarray:
     """Zero-copy-where-possible Arrow list<float> -> (n, dim) float64
     (shared with the ANN ops)."""
@@ -200,94 +188,6 @@ def _lsh_planes(dim: int, n_planes: int, n_tables: int) -> np.ndarray:
     return np.stack(
         [_hyperplanes(dim, n_planes, 1000 + t) for t in range(n_tables)]
     )
-
-
-def _hot_bucket_pairs(
-    df: pd.DataFrame,
-    key_col: str,
-    id_col: str,
-    max_bucket: int | None = None,
-):
-    """Distinct candidate pairs from bucket co-membership — the shared
-    core of every in-shard LSH verification (minhash, simhash, embedding).
-
-    Returns ``(docs, ia, ib)``: ``docs`` holds one row per distinct id
-    (sorted by id, so position order == id order and emitted pairs come
-    out id_a < id_b without a per-pair sort), and ``ia``/``ib`` are int64
-    POSITION arrays into ``docs`` for the candidate pairs — np.triu per
-    bucket (Python cost per bucket, not per pair), cross-bucket dedup via
-    one np.unique.  ``(None, None, None)`` when no bucket has 2+ ids.
-
-    Per-bucket candidates are quadratic in bucket size.  The default
-    mitigation upstream is exact-dup pre-collapse (``collapse_exact`` in
-    the three LSH ops), which removes the mass-duplication input shape;
-    ``max_bucket`` is the residual knob for DISTINCT-text hot buckets:
-    buckets larger than it contribute only their ``max_bucket``
-    smallest-id members and the exact number of dropped candidate pairs
-    is logged (never silent) — a recall cap, off by default so the
-    oracle-checked configurations stay exact."""
-    sizes = df.groupby(key_col)[id_col].nunique()
-    hot = sizes[sizes > 1].index
-    if not len(hot):
-        return None, None, None
-    sub = df[df[key_col].isin(hot)]
-    docs = sub.drop_duplicates(subset=[id_col]).sort_values(id_col)
-    doc_ids = docs[id_col].to_numpy(dtype=np.int64)
-    pos = {int(d): p for p, d in enumerate(doc_ids)}
-    ia_parts: list[np.ndarray] = []
-    ib_parts: list[np.ndarray] = []
-    capped_buckets = 0
-    dropped_pairs = 0
-    mem = sub.drop_duplicates(subset=[key_col, id_col])
-    for _, ids in mem.groupby(key_col)[id_col]:
-        arr = np.sort(
-            np.fromiter(
-                (pos[int(x)] for x in ids), dtype=np.int64, count=len(ids)
-            )
-        )
-        if max_bucket is not None and len(arr) > max_bucket:
-            capped_buckets += 1
-            dropped_pairs += (
-                len(arr) * (len(arr) - 1) - max_bucket * (max_bucket - 1)
-            ) // 2
-            arr = arr[:max_bucket]  # sorted positions == smallest ids
-        iu, ju = np.triu_indices(len(arr), k=1)
-        ia_parts.append(arr[iu])
-        ib_parts.append(arr[ju])
-    if capped_buckets:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "_hot_bucket_pairs: capped %d bucket(s) at max_bucket=%d, "
-            "dropping %d candidate pair(s) (recall cap, not an error)",
-            capped_buckets,
-            max_bucket,
-            dropped_pairs,
-        )
-    n_cand = sum(len(p) for p in ia_parts)
-    if n_cand > 5_000_000:
-        # observability for the ubiquitous-short-phrase shape (measured,
-        # scripts/stress_funnel.py): a phrase in nearly every doc +
-        # narrow bands concentrates band values, so per-shard rejected
-        # candidates grow Theta(n^2) while every bucket stays BELOW
-        # max_bucket.  No output change — just say where the time and
-        # object-store bytes are going and which knobs bound them.
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "_hot_bucket_pairs: one shard generated %d candidate pairs — "
-            "if most are rejected by verify, the corpus likely shares a "
-            "short phrase across most documents; consider wider bands "
-            "(bands=16 -> 4 rows/band), max_bucket, or strip_dup_spans",
-            n_cand,
-        )
-    uniq = np.unique(
-        np.stack(
-            [np.concatenate(ia_parts), np.concatenate(ib_parts)], axis=1
-        ),
-        axis=0,
-    )
-    return docs, uniq[:, 0], uniq[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +315,7 @@ def _text_collapse_keyer(text_col: str):
 
     def keyer(batch: pa.Table):
         texts = batch.column(text_col).to_pylist()
-        digests = [hashlib.md5((t or "").encode()).digest() for t in texts]
-        hi = np.fromiter(
-            (int.from_bytes(d[:8], "big", signed=True) for d in digests),
-            dtype=np.int64,
-            count=len(digests),
-        )
-        lo = np.fromiter(
-            (int.from_bytes(d[8:], "big", signed=True) for d in digests),
-            dtype=np.int64,
-            count=len(digests),
-        )
+        hi, lo = _md5_words(texts)
         skip = np.fromiter(
             (not split_words(t or "") for t in texts),
             dtype=bool,
@@ -788,88 +678,294 @@ def _expand_dup_pairs(
     return cross.union(intra)
 
 
-def jaccard(s1: set[int], s2: set[int]) -> float:
-    if not s1 and not s2:
-        return 1.0
-    inter = len(s1 & s2)
-    return inter / (len(s1) + len(s2) - inter)
+# ---------------------------------------------------------------------------
+# the banded-pairs core behind the three LSH families
+# ---------------------------------------------------------------------------
+
+_PAIR_MUL = np.uint64(0x9E3779B97F4A7C15)
+_VERIFY_CHUNK = 65536  # pairs per vectorized verify step
+_CANDIDATE_WARN = 5_000_000
 
 
-def _dedup_pairs(
-    pairs_ds,
+def _array(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _int64(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+def _first_rows(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, first)``: a stable sort over ``keys`` (most significant
+    last, as for ``np.lexsort``) and the mask of each run's first row."""
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for k in keys:
+        k = k[order]
+        first[1:] |= k[1:] != k[:-1]
+    return order, first
+
+
+def _bucket_pairs(bucket: np.ndarray, ids: np.ndarray, max_bucket: int | None):
+    """Distinct ``(id_a < id_b)`` pairs of ids sharing a bucket, plus the
+    ``max_bucket`` cap's ``(capped buckets, dropped pairs)``.
+
+    Numpy over (bucket, id) rows: distinct rows sorted by (bucket, id),
+    then each bucket's ``triu`` as one repeat/arange expansion (each
+    member pairs with the members after it).  A bucket above
+    ``max_bucket`` keeps its ``max_bucket`` smallest ids."""
+    order, first = _first_rows([ids, bucket])
+    sel = order[first]
+    bucket, ids = bucket[sel], ids[sel]
+    n = len(ids)
+    starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]]) if n else np.empty(0, dtype=np.int64)
+    sizes = np.diff(np.r_[starts, n])
+    kept = sizes
+    capped = dropped = 0
+    if max_bucket is not None:
+        hot = (sizes > max_bucket) & (sizes > 1)
+        capped = int(hot.sum())
+        s, m = sizes[hot], max_bucket
+        dropped = int((s * (s - 1) - m * (m - 1)).sum() // 2)
+        kept = np.minimum(sizes, max_bucket)
+    rank = np.arange(n) - np.repeat(starts, sizes)
+    after = np.maximum(np.repeat(kept, sizes) - rank - 1, 0)
+    ia = np.repeat(np.arange(n), after)
+    ib = ia + 1 + np.arange(len(ia)) - np.repeat(np.cumsum(after) - after, after)
+    a, b = ids[ia], ids[ib]
+    order, first = _first_rows([b, a])
+    return a[order[first]], b[order[first]], capped, dropped
+
+
+def _pull(ds) -> pa.Table | None:
+    """The dataset's non-empty blocks as one table on the driver, or
+    None when it has no rows."""
+    parts = [b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
+    return pa.concat_tables(parts) if parts else None
+
+
+def _banded_pairs(
+    ds,
+    id_col: str,
+    keyer,
+    payload,
+    band,
+    decode,
+    similarity,
+    keep,
+    *,
     value_col: str,
-    n_shards: int | None = None,
-    driver_max: int = 2_000_000,
-    value_dtype: str = "float64",
+    value_dtype: str,
+    intra_value,
+    expand_cap: int | None,
+    max_bucket: int | None,
+    driver_verify_max: int,
+    broadcast_candidate_ids_max: int,
+    name: str,
 ):
-    """Distinct on (id_a, id_b).  The verification value is deterministic
-    per pair, so either copy of a pair found via different shards is
-    interchangeable.
+    """Near-duplicate pairs ``(id_a < id_b, value_col)``: the one pipeline
+    behind :func:`minhash_lsh_pairs`, :func:`simhash_pairs` and
+    :func:`embedding_neardup_pairs`.  The adapter supplies the family:
+    ``keyer`` (the exact-dup collapse key, None for no collapse),
+    ``payload(batch)`` -> rows ``(id, payload, band inputs)``,
+    ``band(batch)`` -> int64 ``(bucket, id)`` band rows,
+    ``decode(payload array)`` into what ``similarity(decoded, ia, ib)``
+    scores per position pair, and ``keep(values)``, the verify rule on
+    UNROUNDED values (float values are stored rounded to 6 places).
 
-    Verified pair sets are tiny relative to the corpus, so the common
-    path materializes the pairs once and, up to ``driver_max`` rows,
-    dedupes on the driver — a BOUNDED materialization (same precedent as
-    neardup_clusters' union-find path) that saves the second all-to-all
-    sort the shard-groupby path costs.  Above the bound: shard by a hash
-    of the pair, drop duplicates vectorized inside each shard task."""
+    1. Exact duplicates collapse to one representative
+       (:func:`collapse_exact_dups`); the payload table is materialized.
+    2. Candidates: ``(shard, bucket, id)`` band rows, 20 bytes whatever
+       the payload, go through one ``shard_exchange``, and a numpy merge
+       emits each partition's distinct pairs (:func:`_bucket_pairs`).
+       ``max_bucket`` (off by default, so the oracle-checked runs stay
+       exact) keeps a larger bucket's smallest ids; the exact dropped-pair
+       count is logged on the driver.  No candidates: the typed empty
+       result, with no payload fetch.
+    3. Driver verify: up to ``broadcast_candidate_ids_max`` candidate
+       rows are pulled, deduplicated (one pair can meet in buckets of
+       different shards) and their ids broadcast; up to
+       ``driver_verify_max`` touched ids, only those payloads are pulled
+       and verified on the driver.
+    4. Verify join, above either bound: one exchange on the id attaches
+       each payload to its pair sides, one on the pair meets both sides,
+       drops duplicate pairs and verifies.  The legs carry an explicit
+       int8 ``kind`` (0 payload, 1 side a, 2 side b), so every signed
+       int64 id is a plain id.  A payload crosses the wire once per pair
+       side, never once per band.
+    5. Pairs expand through the exact-dup groups (:func:`_expand_dup_pairs`).
+    """
+    import logging
+
+    import ray
     import ray.data
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
-    if n_shards is None:
-        n_shards = merge_shards()
-    pairs_ds = pairs_ds.materialize()
-    if driver_max and pairs_ds.count() <= driver_max:
-        # build from iter_batches rather than bare to_pandas(): the bound
-        # is the count check above, made explicit and version-proof
-        # (some Ray versions enforce a default to_pandas row limit)
-        frames = [
-            b.to_pandas()
-            for b in pairs_ds.iter_batches(batch_format="pyarrow")
-        ]
-        frames = [f for f in frames if len(f)]
-        df = (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame()
+    log = logging.getLogger(__name__)
+    n_shards = merge_shards()
+    value_type = pa.from_numpy_dtype(np.dtype(value_dtype))
+    dup_edges = None
+    if keyer is not None:
+        ds, dup_edges = collapse_exact_dups(ds, id_col, keyer)
+    table = ds.map_batches(payload, batch_format="pyarrow").materialize()
+
+    def band_rows(batch: pa.Table) -> pa.Table:
+        bucket, ids = band(batch) if batch.num_rows else (np.empty(0, np.int64),) * 2
+        return pa.table({"shard": np.mod(bucket, n_shards), "bucket": bucket, "id": ids})
+
+    def candidate_pairs(rows: pa.Table) -> pa.Table:
+        a, b, capped, dropped = _bucket_pairs(
+            _int64(rows.column("bucket")), _int64(rows.column("id")), max_bucket
         )
-        if "id_a" not in df.columns:
-            # empty dataset -> zero-column DataFrame; return a typed empty
-            # result instead of crashing drop_duplicates
-            df = pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    value_col: pd.Series(dtype=value_dtype),
-                }
-            )
-        out = (
-            df.drop_duplicates(subset=["id_a", "id_b"])[
-                ["id_a", "id_b", value_col]
+        kind = np.zeros(len(a), dtype=np.int8)
+        if capped:  # one stats row: (capped buckets, dropped pairs)
+            a, b, kind = np.r_[a, capped], np.r_[b, dropped], np.r_[kind, np.int8(1)]
+        return pa.table({"id_a": a, "id_b": b, "kind": kind})
+
+    cand = shard_exchange(
+        table.map_batches(band_rows, batch_format="pyarrow"), "shard", n_shards, candidate_pairs
+    ).materialize()
+
+    def verified(a, b, decoded, ia, ib) -> pa.Table:
+        # _VERIFY_CHUNK pairs per step: gathering every pair's payloads at
+        # once holds two (pairs, payload) copies (~60 GB at 5M x 768 dims)
+        values = np.concatenate(
+            [np.empty(0, dtype=value_dtype)]
+            + [
+                similarity(decoded, ia[lo : lo + _VERIFY_CHUNK], ib[lo : lo + _VERIFY_CHUNK])
+                for lo in range(0, len(ia), _VERIFY_CHUNK)
             ]
-            .astype({"id_a": "int64", "id_b": "int64"})
-            .reset_index(drop=True)
         )
-        return ray.data.from_pandas(out)
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch.column("id_b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        shard = ((a * np.uint64(0x9E3779B97F4A7C15) ^ b) % n_shards).astype(
-            np.int32
+        mask = keep(values)
+        if value_dtype == "float64":
+            values = np.round(values, 6)
+        return pa.table(
+            {"id_a": a[mask], "id_b": b[mask], value_col: pa.array(values[mask], type=value_type)}
         )
-        return batch.append_column("pair_shard", pa.array(shard))
 
-    def drop_dupes(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"])[
-            ["id_a", "id_b", value_col]
-        ]
+    def finish(rep_pairs):
+        return _expand_dup_pairs(rep_pairs, dup_edges, value_col, intra_value, value_dtype, expand_cap)
 
-    return (
-        pairs_ds.map_batches(add_shard, batch_format="pyarrow", batch_size=65536)
-        .groupby("pair_shard")
-        .map_groups(drop_dupes, batch_format="pandas")
+    def of_kind(t: pa.Table, kind: int) -> pa.Table:
+        return t.filter(pc.equal(t.column("kind"), kind))
+
+    # the candidates come to the driver when few; the stats rows always do
+    n_rows = cand.count()
+    pulled = n_rows <= broadcast_candidate_ids_max
+    rows = _pull(cand if pulled else cand.map_batches(lambda t: of_kind(t, 1), batch_format="pyarrow"))
+    stats = of_kind(rows, 1) if rows else None
+    if stats:
+        log.warning(
+            "%s: capped %d bucket(s) at max_bucket=%d, dropping %d "
+            "candidate pair(s) (recall cap, not an error)",
+            name,
+            pc.sum(stats.column("id_a")).as_py(),
+            max_bucket,
+            pc.sum(stats.column("id_b")).as_py(),
+        )
+    n_cand = n_rows - (stats.num_rows if stats else 0)
+    if n_cand == 0:
+        none = np.empty(0, dtype=np.int64)
+        return finish(ray.data.from_arrow(verified(none, none, None, none, none)))
+    if n_cand > _CANDIDATE_WARN:
+        # rejected candidates grow Theta(n^2) when a short phrase sits in
+        # most documents and narrow bands concentrate its band values,
+        # even with every bucket below max_bucket (scripts/stress_funnel.py)
+        log.warning(
+            "%s: %d candidate pairs; if verify rejects most, the corpus "
+            "likely shares a short phrase across most documents; consider "
+            "wider bands (bands=16 -> 4 rows/band), max_bucket, or "
+            "strip_dup_spans",
+            name,
+            n_cand,
+        )
+
+    touched_ref, on_driver, route = None, False, "in a join that ships every payload"
+    if pulled:
+        pairs = of_kind(rows, 0)
+        a, b = _int64(pairs.column("id_a")), _int64(pairs.column("id_b"))
+        order, first = _first_rows([b, a])
+        a, b = a[order[first]], b[order[first]]
+        n_cand, touched = len(a), np.unique(np.r_[a, b])
+        touched_ref = ray.put(pa.array(touched, type=pa.int64()))
+        on_driver = len(touched) <= driver_verify_max
+        route = ("on the driver over %d touched ids" if on_driver
+                 else "in a join that ships only the %d touched payloads") % len(touched)
+    log.info("%s: %d candidate pairs, verified %s", name, n_cand, route)
+
+    def touched_only(batch: pa.Table) -> pa.Table:
+        if touched_ref is None:
+            return batch
+        return batch.filter(pc.is_in(batch.column("id"), value_set=ray.get(touched_ref)))
+
+    if on_driver:
+        got = _pull(table.map_batches(touched_only, batch_format="pyarrow"))
+        # a duplicated id keeps its first payload row
+        ids = _int64(got.column("id"))
+        order, first = _first_rows([ids])
+        uniq = ids[order[first]]
+        decoded = decode(_array(got.column("payload").take(order[first])))
+        rep = verified(a, b, decoded, np.searchsorted(uniq, a), np.searchsorted(uniq, b))
+        return finish(ray.data.from_arrow(rep))
+
+    payload_type = table.schema().base_schema.field("payload").type
+
+    def join_rows(join_id, a, b, kind, payload_col) -> pa.Table:
+        return pa.table(
+            {"shard": np.mod(join_id, n_shards), "join_id": join_id, "id_a": a, "id_b": b,
+             "kind": kind, "payload": payload_col}
+        )
+
+    def requests(batch: pa.Table) -> pa.Table:
+        batch = of_kind(batch, 0)
+        a, b = _int64(batch.column("id_a")), _int64(batch.column("id_b"))
+        kind = np.repeat(np.array([1, 2], dtype=np.int8), len(a))
+        return join_rows(np.r_[a, b], np.r_[a, a], np.r_[b, b], kind, pa.nulls(len(kind), payload_type))
+
+    def payload_rows(batch: pa.Table) -> pa.Table:
+        batch = touched_only(batch)
+        ids = _int64(batch.column("id"))
+        fill = np.full(len(ids), -1, dtype=np.int64)
+        return join_rows(ids, fill, fill, np.zeros(len(ids), dtype=np.int8), batch.column("payload"))
+
+    def attach_payloads(rows: pa.Table) -> pa.Table:
+        have, reqs = of_kind(rows, 0), rows.filter(pc.not_equal(rows.column("kind"), 0))
+        hid = _int64(have.column("join_id"))
+        order, first = _first_rows([hid])
+        uniq, src = hid[order[first]], order[first]
+        rid = _int64(reqs.column("join_id"))
+        pos = np.minimum(np.searchsorted(uniq, rid), max(len(uniq) - 1, 0))
+        found = uniq[pos] == rid if len(uniq) else np.zeros(len(rid), dtype=bool)
+        reqs, pos = reqs.filter(found), pos[found]
+        a, b = _int64(reqs.column("id_a")), _int64(reqs.column("id_b"))
+        pair = (a.astype(np.uint64) * _PAIR_MUL ^ b.astype(np.uint64)) % np.uint64(n_shards)
+        return pa.table(
+            {"shard": pair.astype(np.int64), "id_a": a, "id_b": b, "kind": reqs.column("kind"),
+             "payload": have.column("payload").take(src[pos])}
+        )
+
+    def verify_pairs(rows: pa.Table) -> pa.Table:
+        a, b = _int64(rows.column("id_a")), _int64(rows.column("id_b"))
+        kind = rows.column("kind").to_numpy(zero_copy_only=False)
+        order, first = _first_rows([kind, b, a])
+        order = order[first]
+        a, b, kind = a[order], b[order], kind[order]
+        # one row per (pair, side) now: side a sits right before side b
+        both = np.flatnonzero(
+            (kind[:-1] == 1) & (kind[1:] == 2) & (a[:-1] == a[1:]) & (b[:-1] == b[1:])
+        )
+        n = len(both)
+        sides = np.r_[order[both], order[both + 1]]
+        decoded = decode(_array(rows.column("payload").take(sides))) if n else None
+        return verified(a[both], b[both], decoded, np.arange(n), np.arange(n, 2 * n))
+
+    tagged = cand.map_batches(requests, batch_format="pyarrow").union(
+        table.map_batches(payload_rows, batch_format="pyarrow")
     )
+    joined = shard_exchange(tagged, "shard", n_shards, attach_payloads)
+    return finish(shard_exchange(joined, "shard", n_shards, verify_pairs))
 
 
 _BAND_P1 = np.uint64(0x9E3779B97F4A7C15)
@@ -877,7 +973,8 @@ _BAND_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
 def _minhash_sig_matrix(texts, ids_in, k, n_perm, a, b):
-    """(kept_ids, sig_rows) for the docs with at least one word.
+    """(kept_ids, sig_rows, shingle arrays) for the docs with at least
+    one word.
 
     Batched signatures (ROADMAP #6): ONE affine transform + per-doc
     segmented min per chunk of docs, instead of an (n_perm x n_shingles)
@@ -894,12 +991,6 @@ def _minhash_sig_matrix(texts, ids_in, k, n_perm, a, b):
             continue
         sh_list.append(sh)
         kept.append(i)
-    if not kept:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty((0, n_perm), dtype=np.uint64),
-            [],
-        )
     n_docs = len(kept)
     sig_rows = np.empty((n_docs, n_perm), dtype=np.uint64)
     max_chunk_shingles = max(1, 8_000_000 // n_perm)
@@ -961,55 +1052,36 @@ def minhash_lsh_pairs(
     broadcast_candidate_ids_max: int = 5_000_000,
     driver_verify_max: int = 100_000,
 ):
-    """MinHash+LSH near-duplicate pairs.
+    """MinHash+LSH near-duplicate pairs ``(id_a < id_b, jaccard)`` over
+    word ``k``-shingles, on :func:`_banded_pairs`.
 
-    ``collapse_exact`` (default on) collapses byte-identical texts to one
-    representative before bucketing and expands pairs back through the
-    dup groups at emit — exact-equivalent output (identical texts have
-    identical signatures) but per-bucket candidates stay bounded under
-    mass duplication (1M copies of a license header no longer form an
-    O(m^2) bucket).  ``expand_cap`` optionally bounds the EMITTED pairs
-    per dup group (star fallback, logged); ``max_bucket`` optionally
-    caps distinct-text bucket membership (recall cap, logged).  Both
-    output-changing caps are OFF by default so the oracle-checked
-    configurations stay exact; runs over mass-duplicated corpora should
-    set expand_cap (the stress harness uses 8192 — collapse keeps the
-    candidate stage bounded either way, the cap only bounds the
-    quadratic OUTPUT).
+    ``n_perm`` permutation minima form ``bands`` bands.  The default 32x2
+    puts the S-curve knee near J~0.2, so candidate recall at J>=0.5 is
+    effectively 1 and the verify removes the extras.  With 2 rows per
+    band, a short phrase in a constant fraction of ALL documents (a
+    3-word footer below strip_dup_spans' window) concentrates band
+    values: buckets grow Theta(n) and rejected candidates Theta(n^2) (5M
+    at 96k short docs; ~24 GB of object spill at 700k,
+    scripts/stress_funnel.py).  ``max_bucket`` bounds that above the cap;
+    below it, prefer more rows per band (``bands=16`` -> r=4 moves the
+    knee to J~0.45).  Shingle-less documents are skipped: they share the
+    zero signature and belong to exact dedup.
 
-    Default banding 32x2 puts the S-curve knee near J~0.2, so candidate
-    recall at J>=0.5 is effectively 1; the in-bucket verification check
-    removes the extra candidates.  Corollary at scale (measured,
-    scripts/stress_funnel.py): with only r=2 rows per band, a short
-    phrase shared by a constant fraction of ALL documents (ubiquitous
-    boilerplate below strip_dup_spans' n-gram window, e.g. a 3-word
-    footer) concentrates band values — each perm's min lands on the
-    shared shingle with p ~ 1/shingles_per_doc, so bucket sizes grow
-    Theta(n) and the rejected-candidate stage Theta(n^2) (5M candidates
-    at 96k short docs; ~24 GB of object spill at 700k).  ``max_bucket``
-    bounds it once buckets exceed the cap; below the cap, prefer more
-    rows per band (``bands=16`` -> r=4 moves the knee to J~0.45 and
-    drives the shared-min probability to p^4) for corpora with
-    ubiquitous short phrases.
+    ``verify="signature"`` (default, the scale path) carries the
+    8*n_perm-byte signature and keeps signature agreement
+    |sig_a == sig_b| / n_perm >= ``threshold``, an unbiased Jaccard
+    estimate with resolution 1/n_perm.  ``verify="exact"`` (validation at
+    small sf) carries the O(doc length) shingle list and keeps exact
+    Jaccard.
 
-    shingle -> minhash -> band -> bucket groupby -> in-bucket verify.
-
-    ``verify`` picks the verification strategy:
-
-    - ``"signature"`` (default, the scale path): the bucket shuffle ships
-      20-byte (shard, bucket, id) rows ONLY; signatures live in one
-      materialized side table (8*n_perm bytes per doc, once) and ride the
-      verify step once per touched id (bounded driver fast path, the
-      common case) or once per pair side (sharded join fallback) — never
-      once per band row.  The check thresholds on the signature-agreement
-      estimate of Jaccard (|sig_a == sig_b| / n_perm, unbiased,
-      resolution 1/n_perm).  Safe for the full signed int64 id range:
-      the join fallback discriminates its legs with an explicit ``kind``
-      column (same convention as embedding_neardup_pairs).
-    - ``"exact"`` (validation mode for small sf): shingle sets ride the
-      bucket shuffle and the check computes exact Jaccard.  Payload is
-      O(doc length) and multiplied by ``bands`` in the exchange — do not
-      use at scale.
+    ``collapse_exact`` (default on) collapses byte-identical texts before
+    banding, so 1M copies of a license header form no O(m^2) bucket;
+    their pairs expand back at jaccard 1.0.  ``expand_cap`` bounds the
+    emitted pairs per dup group (star fallback, logged).  Both
+    output-changing caps, ``expand_cap`` and ``max_bucket``, are off by
+    default so the oracle-checked configurations stay exact; runs over
+    mass-duplicated corpora should set ``expand_cap`` (the stress harness
+    uses 8192).
     """
     if verify not in ("signature", "exact"):
         raise ValueError(f"unknown verify mode {verify!r}")
@@ -1022,424 +1094,51 @@ def minhash_lsh_pairs(
         )
     rows_per_band = n_perm // bands
     a, b = _minhash_params(n_perm)
-    dup_edges = None
-    if collapse_exact:
-        ds, dup_edges = collapse_exact_dups(
-            ds, id_col, _text_collapse_keyer(text_col)
-        )
-    from deduce_ray.ops.agg import merge_shards
-
-    n_shards = merge_shards()  # shuffle key granularity: most band-buckets
-    # are global singletons, so grouping directly by bucket would launch
-    # one task per bucket; sharding keeps it to <= n_shards group tasks,
-    # with the per-bucket work vectorized in pandas inside each shard.
     exact = verify == "exact"
 
-    if exact:
-        # ----- exact mode (sf-small validation): shingle payload rides the
-        # bucket shuffle; O(doc length) x bands exchange, do not use at
-        # scale -----
-        def signatures(batch: pa.Table) -> pa.Table:
-            ids_in = batch.column(id_col).to_pylist()
-            texts = batch.column(text_col).to_pylist()
-            ids_arr, sig_rows, sh_list = _minhash_sig_matrix(
-                texts, ids_in, k, n_perm, a, b
-            )
-            payload_type = pa.list_(pa.uint64())
-            if not len(ids_arr):
-                return pa.table(
-                    {
-                        "shard": pa.array([], type=pa.int32()),
-                        "bucket": pa.array([], type=pa.int64()),
-                        id_col: pa.array([], type=pa.int64()),
-                        "payload": pa.array([], type=payload_type),
-                    }
-                )
-            buckets_flat = _minhash_band_buckets(
-                sig_rows, bands, rows_per_band
-            ).reshape(-1)
-            doc_payloads = [s.tolist() for s in sh_list]
-            return pa.table(
-                {
-                    "shard": pa.array(
-                        (buckets_flat % n_shards).astype(np.int32),
-                        type=pa.int32(),
-                    ),
-                    "bucket": pa.array(
-                        buckets_flat.view(np.int64), type=pa.int64()
-                    ),
-                    id_col: pa.array(np.tile(ids_arr, bands), type=pa.int64()),
-                    "payload": pa.array(doc_payloads * bands, type=payload_type),
-                }
-            )
+    def payload(batch: pa.Table) -> pa.Table:
+        ids, sigs, shingles = _minhash_sig_matrix(
+            batch.column(text_col).to_pylist(), batch.column(id_col).to_pylist(), k, n_perm, a, b
+        )
+        # a variable list (not fixed-size): the verify join's request rows
+        # carry null payloads, and fixed-size nulls allocate their values
+        sig = pa.ListArray.from_arrays(
+            pa.array(np.arange(0, sigs.size + 1, n_perm), type=pa.int32()), sigs.ravel()
+        )
+        if not exact:
+            return pa.table({"id": ids, "payload": sig})
+        ends = np.cumsum([0] + [s.size for s in shingles])
+        flat = np.concatenate(shingles) if shingles else np.empty(0, dtype=np.uint64)
+        shingle_lists = pa.ListArray.from_arrays(pa.array(ends, type=pa.int32()), flat)
+        return pa.table({"id": ids, "sig": sig, "payload": shingle_lists})
 
-        def verify_shard(df: pd.DataFrame) -> pd.DataFrame:
-            """Vectorized in-shard verification: one payload row per
-            distinct doc, candidate-pair positions gathered per bucket
-            (np.triu per bucket, Python cost per BUCKET not per pair),
-            pairs deduped with one np.unique, exact Jaccard per pair."""
-            empty = pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    "jaccard": pd.Series(dtype="float64"),
-                }
-            )
-            docs, ia, ib = _hot_bucket_pairs(df, "bucket", id_col, max_bucket)
-            if docs is None:
-                return empty
-            doc_ids = docs[id_col].to_numpy(dtype=np.int64)
-            payloads = docs["payload"].tolist()
-            sims = np.fromiter(
-                (
-                    jaccard(
-                        set(int(x) for x in payloads[i]),
-                        set(int(x) for x in payloads[j]),
-                    )
-                    for i, j in zip(ia, ib)
-                ),
-                dtype=np.float64,
-                count=len(ia),
-            )
-            keep = sims >= threshold  # threshold on the unrounded value
-            if not keep.any():
-                return empty
-            return pd.DataFrame(
-                {
-                    "id_a": doc_ids[ia[keep]],
-                    "id_b": doc_ids[ib[keep]],
-                    "jaccard": np.round(sims[keep], 6),
-                }
-            )
+    def sig_rows(col) -> np.ndarray:
+        return _array(col).flatten().to_numpy(zero_copy_only=False).reshape(-1, n_perm)
 
-        sigs = ds.map_batches(signatures, batch_format="pyarrow")
-        pairs = sigs.groupby("shard").map_groups(
-            verify_shard, batch_format="pandas"
-        )
-        # drop duplicate pairs found via buckets in different shards
-        rep_pairs = _dedup_pairs(pairs, "jaccard", n_shards)
-        return _expand_dup_pairs(
-            rep_pairs, dup_edges, "jaccard", 1.0, "float64", expand_cap
-        )
+    def band(batch: pa.Table):
+        buckets = _minhash_band_buckets(sig_rows(batch.column("sig" if exact else "payload")), bands, rows_per_band)
+        return buckets.reshape(-1).view(np.int64), np.tile(_int64(batch.column("id")), bands)
 
-    # ----- signature mode (the scale path): signature-only bucket shuffle,
-    # mirroring embedding_neardup_pairs.  Band rows carry (shard, bucket,
-    # id) at 20 bytes regardless of n_perm; the 8*n_perm-byte signatures
-    # live in ONE materialized side table and ride the verify step once
-    # per touched id (bounded driver fast path) or once per pair side
-    # (sharded join fallback) — never once per band row.  The previous
-    # design shipped the full signature `bands` times through the sort
-    # exchange (~16 KB/doc at the defaults, ~33 GB at 2M docs), which
-    # dominated the adversarial stress wall-time. -----
-    import logging
+    def shingle_sets(col) -> list[set]:
+        ends = np.cumsum(pc.list_value_length(col).to_numpy())
+        flat = col.flatten().to_numpy(zero_copy_only=False)
+        return [set(s.tolist()) for s in np.split(flat, ends[:-1])]
 
-    import ray
-    import ray.data
+    def jaccard(sets, ia, ib):
+        inter = np.fromiter((len(sets[i] & sets[j]) for i, j in zip(ia, ib)), np.int64, len(ia))
+        union = np.fromiter((len(sets[i]) + len(sets[j]) for i, j in zip(ia, ib)), np.int64, len(ia)) - inter
+        return inter / union
 
-    def sig_table(batch: pa.Table) -> pa.Table:
-        ids_in = batch.column(id_col).to_pylist()
-        texts = batch.column(text_col).to_pylist()
-        ids_arr, sig_rows, _ = _minhash_sig_matrix(
-            texts, ids_in, k, n_perm, a, b
-        )
-        return pa.table(
-            {
-                "id": pa.array(ids_arr, type=pa.int64()),
-                "sig": pa.array(
-                    [sig_rows[d].tobytes() for d in range(len(ids_arr))],
-                    type=pa.binary(),
-                ),
-            }
-        )
+    def agreement(sigs, ia, ib):
+        return (sigs[ia] == sigs[ib]).mean(axis=1)
 
-    # materialized: consumed twice (band rows + verify fetch), and the
-    # shingling/minhash pass is the expensive part worth caching
-    sig_tbl = ds.map_batches(sig_table, batch_format="pyarrow").materialize()
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "shard": pa.array([], type=pa.int32()),
-                    "bucket": pa.array([], type=pa.int64()),
-                    "id": pa.array([], type=pa.int64()),
-                }
-            )
-        sig_rows = np.vstack(
-            [
-                np.frombuffer(s, dtype=np.uint64)
-                for s in batch.column("sig").to_pylist()
-            ]
-        )
-        ids_arr = batch.column("id").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        buckets_flat = _minhash_band_buckets(
-            sig_rows, bands, rows_per_band
-        ).reshape(-1)
-        return pa.table(
-            {
-                "shard": pa.array(
-                    (buckets_flat % n_shards).astype(np.int32), type=pa.int32()
-                ),
-                "bucket": pa.array(buckets_flat.view(np.int64), type=pa.int64()),
-                "id": pa.array(np.tile(ids_arr, bands), type=pa.int64()),
-            }
-        )
-
-    def candidate_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        docs, ia, ib = _hot_bucket_pairs(df, "bucket", "id", max_bucket)
-        if docs is None:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                }
-            )
-        ids = docs["id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]})
-
-    cand = (
-        sig_tbl.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(candidate_pairs, batch_format="pandas")
-        .materialize()
-    )
-
-    def _empty_pairs():
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
-        )
-
-    def _sig_agreement(mat, ia, ib):
-        """Chunked signature-agreement similarity: mat[ia]/mat[ib] would
-        materialize two (n_pairs, n_perm) uint64 copies (~5 GB at 5M
-        pairs x 64 perms); 65536-pair chunks bound the working set."""
-        sims = np.empty(len(ia), dtype=np.float64)
-        chunk = 65536
-        for lo in range(0, len(ia), chunk):
-            hi = min(lo + chunk, len(ia))
-            sims[lo:hi] = (mat[ia[lo:hi]] == mat[ib[lo:hi]]).mean(axis=1)
-        return sims
-
-    n_pairs = cand.count()
-    if n_pairs == 0:
-        # nothing to verify: skip the fetch entirely (without this, the
-        # id-shard leg would ship EVERY signature for a guaranteed-empty
-        # result — the exact exchange the signature-only design avoids)
-        return _expand_dup_pairs(
-            _empty_pairs(), dup_edges, "jaccard", 1.0, "float64", expand_cap
-        )
-
-    touched_ref = None
-    if 0 < n_pairs <= broadcast_candidate_ids_max:
-        # candidate_pairs dedupes within a shard only; the same pair found
-        # via buckets in DIFFERENT shards appears once per shard
-        frames = [
-            bt.to_pandas()
-            for bt in cand.iter_batches(batch_format="pyarrow")
-            if bt.num_rows
-        ]
-        cand_df = pd.concat(frames, ignore_index=True).drop_duplicates(
-            subset=["id_a", "id_b"]
-        )
-        touched = np.unique(
-            np.concatenate(
-                [cand_df["id_a"].to_numpy(), cand_df["id_b"].to_numpy()]
-            )
-        )
-        touched_ref = ray.put(pa.array(touched, type=pa.int64()))
-        logging.getLogger(__name__).info(
-            "minhash_lsh_pairs: %d candidate pairs over %d touched docs; "
-            "verify ships only those signatures",
-            n_pairs,
-            len(touched),
-        )
-
-        if len(touched) <= driver_verify_max:
-            # sparse-candidate fast path (the common case: near-dups are
-            # rare relative to the corpus): collect ONLY the touched
-            # signatures to the driver — a bounded materialization, like
-            # the union-find path in neardup_clusters — and verify all
-            # pairs vectorized, skipping both join shuffles entirely
-            def touched_sigs(batch: pa.Table) -> pa.Table:
-                keep = pc.is_in(
-                    batch.column("id"), value_set=ray.get(touched_ref)
-                )
-                return batch.filter(keep)
-
-            sig_frames = [
-                bt.to_pandas()
-                for bt in sig_tbl.map_batches(
-                    touched_sigs, batch_format="pyarrow"
-                ).iter_batches(batch_format="pyarrow")
-                if bt.num_rows
-            ]
-            sig_df = pd.concat(sig_frames, ignore_index=True).drop_duplicates(
-                subset=["id"]
-            )
-            mat = np.vstack(
-                [np.frombuffer(s, dtype=np.uint64) for s in sig_df["sig"]]
-            )
-            index = {int(i): p for p, i in enumerate(sig_df["id"])}
-            ia = np.fromiter(
-                (index[int(x)] for x in cand_df["id_a"]),
-                dtype=np.int64,
-                count=len(cand_df),
-            )
-            ib = np.fromiter(
-                (index[int(x)] for x in cand_df["id_b"]),
-                dtype=np.int64,
-                count=len(cand_df),
-            )
-            sims = _sig_agreement(mat, ia, ib)
-            keep_pairs = sims >= threshold  # unrounded threshold
-            out = pd.DataFrame(
-                {
-                    "id_a": cand_df["id_a"].to_numpy(dtype=np.int64)[
-                        keep_pairs
-                    ],
-                    "id_b": cand_df["id_b"].to_numpy(dtype=np.int64)[
-                        keep_pairs
-                    ],
-                    "jaccard": np.round(sims[keep_pairs], 6),
-                }
-            ).astype({"id_a": "int64", "id_b": "int64", "jaccard": "float64"})
-            return _expand_dup_pairs(
-                ray.data.from_pandas(out),
-                dup_edges,
-                "jaccard",
-                1.0,
-                "float64",
-                expand_cap,
-            )
-
-    # verify join, leg 1: requests (one row per pair side) + signatures,
-    # co-sharded on id.  An explicit int8 ``kind`` column (0 = request,
-    # 1 = signature) discriminates the legs — a negative-id_a sentinel
-    # would misclassify real negative ids (hash-derived doc ids are
-    # signed int64, so half of them ARE negative).  id_a/id_b on the
-    # signature leg are plain -1 FILL values, never tested: Ray's
-    # arrow->pandas conversion widens nullable int64 to float64 (rounds
-    # 63-bit ids), so nulls are not an option.
-    def requests(batch: pa.Table) -> pa.Table:
-        a_ = batch.column("id_a").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        b_ = batch.column("id_b").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        join_id = np.concatenate([a_, b_])
-        return pa.table(
-            {
-                "id_shard": pa.array(join_id % n_shards, type=pa.int64()),
-                "join_id": pa.array(join_id, type=pa.int64()),
-                "id_a": pa.array(np.concatenate([a_, a_]), type=pa.int64()),
-                "id_b": pa.array(np.concatenate([b_, b_]), type=pa.int64()),
-                "kind": pa.array(
-                    np.zeros(2 * len(a_), dtype=np.int8), type=pa.int8()
-                ),
-                "sig": pa.nulls(2 * len(a_), type=pa.binary()),
-            }
-        )
-
-    def sig_rows_leg(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id")
-        sigs_col = batch.column("sig")
-        if touched_ref is not None:
-            keep = pc.is_in(ids, value_set=ray.get(touched_ref))
-            batch = batch.filter(keep)
-            ids = batch.column("id")
-            sigs_col = batch.column("sig")
-        n = batch.num_rows
-        ids_np = ids.to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "id_shard": pa.array(ids_np % n_shards, type=pa.int64()),
-                "join_id": pa.array(ids_np, type=pa.int64()),
-                "id_a": pa.array(np.full(n, -1), type=pa.int64()),
-                "id_b": pa.array(np.full(n, -1), type=pa.int64()),
-                "kind": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
-                "sig": sigs_col,
-            }
-        )
-
-    tagged = cand.map_batches(requests, batch_format="pyarrow").union(
-        sig_tbl.map_batches(sig_rows_leg, batch_format="pyarrow")
-    )
-
-    def attach_sigs(df: pd.DataFrame) -> pd.DataFrame:
-        have = df[df["kind"] == 1][["join_id", "sig"]].drop_duplicates(
-            subset=["join_id"]
-        )
-        reqs = df[df["kind"] == 0][["join_id", "id_a", "id_b"]]
-        out = reqs.merge(have, on="join_id")[
-            ["id_a", "id_b", "join_id", "sig"]
-        ]
-        out = out.astype({"id_a": "int64", "id_b": "int64", "join_id": "int64"})
-        out["pair_shard"] = (
-            (
-                out["id_a"].to_numpy().astype(np.uint64)
-                * np.uint64(0x9E3779B97F4A7C15)
-                ^ out["id_b"].to_numpy().astype(np.uint64)
-            )
-            % n_shards
-        ).astype("int64")
-        return out
-
-    def verify_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        sides_a = df[df["join_id"] == df["id_a"]].drop_duplicates(
-            subset=["id_a", "id_b"]
-        )
-        sides_b = df[df["join_id"] == df["id_b"]].drop_duplicates(
-            subset=["id_a", "id_b"]
-        )
-        merged = sides_a.merge(
-            sides_b, on=["id_a", "id_b"], suffixes=("_a", "_b")
-        )
-        if merged.empty:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    "jaccard": pd.Series(dtype="float64"),
-                }
-            )
-        mat_a = np.vstack(
-            [np.frombuffer(s, dtype=np.uint64) for s in merged["sig_a"]]
-        )
-        mat_b = np.vstack(
-            [np.frombuffer(s, dtype=np.uint64) for s in merged["sig_b"]]
-        )
-        sims = (mat_a == mat_b).mean(axis=1)
-        keep = sims >= threshold  # unrounded threshold
-        out = pd.DataFrame(
-            {
-                "id_a": merged["id_a"].astype("int64")[keep],
-                "id_b": merged["id_b"].astype("int64")[keep],
-                "jaccard": np.round(sims[keep], 6),
-            }
-        )
-        return out.reset_index(drop=True)
-
-    joined = (
-        tagged.groupby("id_shard")
-        .map_groups(attach_sigs, batch_format="pandas")
-        .groupby("pair_shard")
-        .map_groups(
-            lambda df: verify_pairs(df.drop(columns=["pair_shard"])),
-            batch_format="pandas",
-        )
-    )
-    return _expand_dup_pairs(
-        joined, dup_edges, "jaccard", 1.0, "float64", expand_cap
+    return _banded_pairs(
+        ds, id_col, _text_collapse_keyer(text_col) if collapse_exact else None,
+        payload, band, shingle_sets if exact else sig_rows, jaccard if exact else agreement,
+        lambda sims: sims >= threshold,
+        value_col="jaccard", value_dtype="float64", intra_value=1.0,
+        expand_cap=expand_cap, max_bucket=max_bucket, driver_verify_max=driver_verify_max,
+        broadcast_candidate_ids_max=broadcast_candidate_ids_max, name="minhash_lsh_pairs",
     )
 
 
@@ -1483,39 +1182,19 @@ def neardup_clusters(
     warning is logged and the current labels are returned.
 
     pairs_ds: rows with id_a/id_b.  nodes_ds: optional rows with doc_id for
-    singleton nodes.  Returns (doc_id, cluster_id) with cluster_id = min
-    doc id in the component.
+    singleton nodes.  Returns int64 (doc_id, cluster_id) Arrow blocks on
+    both paths, with cluster_id = min doc id in the component.
     """
     import ray.data
 
     pairs_ds = pairs_ds.materialize()
 
     if driver_threshold and pairs_ds.count() <= driver_threshold:
-        # pull the two id columns as numpy via iter_batches — take_all()'s
-        # per-row dicts cost ~1 ms/row on pandas blocks (measured 85 s for
-        # 100k pairs vs <1 s columnar)
-        a_parts: list[np.ndarray] = []
-        b_parts: list[np.ndarray] = []
-        for bt in pairs_ds.select_columns(["id_a", "id_b"]).iter_batches(
-            batch_format="pyarrow"
-        ):
-            if bt.num_rows:
-                a_parts.append(
-                    bt.column("id_a").to_numpy(zero_copy_only=False)
-                )
-                b_parts.append(
-                    bt.column("id_b").to_numpy(zero_copy_only=False)
-                )
-        pair_a = (
-            np.concatenate(a_parts).astype(np.int64)
-            if a_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        pair_b = (
-            np.concatenate(b_parts).astype(np.int64)
-            if b_parts
-            else np.empty(0, dtype=np.int64)
-        )
+        # pull the id columns columnar: take_all()'s per-row dicts cost
+        # ~1 ms/row on pandas blocks (85 s for 100k pairs vs <1 s)
+        got = _pull(pairs_ds.select_columns(["id_a", "id_b"]))
+        pair_a = _int64(got.column("id_a")) if got else np.empty(0, dtype=np.int64)
+        pair_b = _int64(got.column("id_b")) if got else np.empty(0, dtype=np.int64)
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -1538,13 +1217,13 @@ def neardup_clusters(
                     zero_copy_only=False
                 ).tolist():
                     find(int(node))
-        out = pd.DataFrame(
-            sorted((node, find(node)) for node in parent),
-            columns=["doc_id", "cluster_id"],
-        ).astype({"doc_id": "int64", "cluster_id": "int64"})
-        return ray.data.from_pandas(out)
+        nodes = np.fromiter(sorted(parent), dtype=np.int64, count=len(parent))
+        roots = np.fromiter(
+            (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
+        )
+        return ray.data.from_arrow(pa.table({"doc_id": nodes, "cluster_id": roots}))
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     n_shards = merge_shards()
     # witness terms: per-edge 28-bit hashes keep each global int64 sum
@@ -1717,14 +1396,20 @@ def neardup_clusters(
             nodes_ds.map_batches(to_self, batch_format="pandas")
         )
 
-    def to_labels(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["w"] == 0]
-        mins = _node_mins(df)
-        return mins.rename(columns={"u": "doc_id", "m": "cluster_id"})
+    def cluster_labels(rows: pa.Table) -> pa.Table:
+        # per node u: min(u, min N(u)), the star rounds' component minimum
+        edges = rows.filter(pc.equal(rows.column("w"), 0))
+        u, v = _int64(edges.column("u")), _int64(edges.column("v"))
+        order = np.argsort(u, kind="stable")
+        u, v = u[order], v[order]
+        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]]) if len(u) else np.empty(0, dtype=np.int64)
+        nodes = u[starts]
+        low = np.minimum.reduceat(v, starts) if len(u) else nodes
+        return pa.table({"doc_id": nodes, "cluster_id": np.minimum(nodes, low)})
 
-    return label_input.groupby("shard").map_groups(
-        to_labels, batch_format="pandas"
-    )
+    # Arrow blocks out (the star rounds are pandas): unions with Arrow
+    # datasets then sort and batch without a block-type clash
+    return shard_exchange(label_input, "shard", n_shards, cluster_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1766,15 +1451,9 @@ def sig_band_rows(
     return (bucket % n_shards).ravel(), bucket.ravel()
 
 
-def simhash_band_rows(
-    ids, texts, n_shards: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(shard, bucket, id, sig) row arrays for the SimHash band
-    decomposition (:func:`sig_band_rows`) — shared by
-    :func:`simhash_pairs` and the incremental SimHash store
-    (:mod:`deduce_ray.state.simhash_store`) so the two can never drift.
-    Word-less documents are skipped: they all hash to 0 and would form
-    one bogus hamming-0 mega-bucket."""
+def _simhash_rows(ids, texts) -> tuple[np.ndarray, np.ndarray]:
+    """(id, simhash) of the documents with words: word-less documents all
+    hash to 0 and would form one bogus hamming-0 mega-bucket."""
     from deduce_ray.ops.textstats import split_words
 
     kept_ids, kept_sigs = [], []
@@ -1783,10 +1462,25 @@ def simhash_band_rows(
         if words:
             kept_ids.append(i)
             kept_sigs.append(_simhash_from_words(words))
-    ids_arr = np.asarray(kept_ids, dtype=np.int64)
-    sigs_arr = np.asarray(kept_sigs, dtype=np.uint64)
+    return np.asarray(kept_ids, dtype=np.int64), np.asarray(kept_sigs, dtype=np.uint64)
+
+
+def simhash_band_rows(
+    ids, texts, n_shards: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(shard, bucket, id, sig) row arrays for the SimHash band
+    decomposition (:func:`sig_band_rows`) of the incremental SimHash
+    store (:mod:`deduce_ray.state.simhash_store`); it shares
+    :func:`_simhash_rows` and :func:`sig_band_rows` with
+    :func:`simhash_pairs`, so the two can never drift."""
+    ids_arr, sigs_arr = _simhash_rows(ids, texts)
     shard, bucket = sig_band_rows(sigs_arr, n_shards)
     return shard, bucket, np.tile(ids_arr, 4), np.tile(sigs_arr, 4)
+
+
+# touched ids up to which simhash_pairs verifies on the driver (its
+# payload is one 8-byte word per document)
+_SIMHASH_DRIVER_VERIFY_MAX = 100_000
 
 
 def simhash_pairs(
@@ -1798,77 +1492,35 @@ def simhash_pairs(
     expand_cap: int | None = None,
     max_bucket: int | None = None,
 ):
-    """SimHash near-dup pairs: 4x16-bit band bucketing guarantees recall for
-    Hamming distance <= 3; in-bucket exact Hamming verification.
-
+    """SimHash near-dup pairs ``(id_a < id_b, hamming)`` on
+    :func:`_banded_pairs`: the payload is the 64-bit SimHash, its 4x16-bit
+    bands (:func:`sig_band_rows`) guarantee recall for Hamming distance
+    <= 3 (pigeonhole), and the verify keeps Hamming <= ``max_hamming``.
     ``collapse_exact`` / ``expand_cap`` / ``max_bucket`` mirror
-    :func:`minhash_lsh_pairs` — identical texts collapse to one
-    representative before bucketing (hamming 0 by construction) and
-    verified pairs expand back through the dup groups at emit."""
-    from deduce_ray.ops.agg import merge_shards
+    :func:`minhash_lsh_pairs` (collapsed identical texts expand back at
+    hamming 0)."""
 
-    dup_edges = None
-    if collapse_exact:
-        ds, dup_edges = collapse_exact_dups(
-            ds, id_col, _text_collapse_keyer(text_col)
-        )
-    n_shards = merge_shards()
+    def payload(batch: pa.Table) -> pa.Table:
+        ids, sigs = _simhash_rows(batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist())
+        return pa.table({"id": ids, "payload": pa.array(sigs, type=pa.uint64())})
 
-    def signatures(batch: pa.Table) -> pa.Table:
-        shard, bucket, ids, sigs = simhash_band_rows(
-            batch.column(id_col).to_pylist(),
-            batch.column(text_col).to_pylist(),
-            n_shards,
-        )
-        # explicit types: an all-skipped batch (word-less docs) must not
-        # emit null columns, or block schemas diverge
-        return pa.table(
-            {
-                "shard": pa.array(shard, type=pa.int32()),
-                "bucket": pa.array(bucket, type=pa.int32()),
-                id_col: pa.array(ids, type=pa.int64()),
-                "simhash": pa.array(sigs, type=pa.uint64()),
-            }
-        )
+    def band(batch: pa.Table):
+        # one shard: the core shards the buckets itself
+        _, bucket = sig_band_rows(_array(batch.column("payload")).to_numpy(), 1)
+        return bucket, np.tile(_int64(batch.column("id")), 4)
 
-    def verify_shard(df: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized like minhash's verify_shard: candidate positions per
-        hot bucket via np.triu_indices, one np.unique pair dedup, and all
-        Hamming distances in one XOR + unpackbits pass."""
-        empty = pd.DataFrame(
-            {
-                "id_a": pd.Series(dtype="int64"),
-                "id_b": pd.Series(dtype="int64"),
-                "hamming": pd.Series(dtype="int64"),
-            }
-        )
-        docs, ia, ib = _hot_bucket_pairs(df, "bucket", id_col, max_bucket)
-        if docs is None:
-            return empty
-        doc_ids = docs[id_col].to_numpy(dtype=np.int64)
-        hashes = docs["simhash"].to_numpy(dtype=np.uint64)
-        x = hashes[ia] ^ hashes[ib]
-        dist = (
-            np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1)
-            .sum(axis=1)
-            .astype(np.int64)
-        )
-        keep = dist <= max_hamming
-        if not keep.any():
-            return empty
-        return pd.DataFrame(
-            {
-                "id_a": doc_ids[ia[keep]],
-                "id_b": doc_ids[ib[keep]],
-                "hamming": dist[keep],
-            }
-        )
+    def hamming(sigs, ia, ib):
+        x = sigs[ia] ^ sigs[ib]
+        return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1).astype(np.int64)
 
-    sigs = ds.map_batches(signatures, batch_format="pyarrow")
-    pairs = sigs.groupby("shard").map_groups(verify_shard, batch_format="pandas")
-    rep_pairs = _dedup_pairs(pairs, "hamming", n_shards, value_dtype="int64")
-    return _expand_dup_pairs(
-        rep_pairs, dup_edges, "hamming", 0, "int64", expand_cap
+    return _banded_pairs(
+        ds, id_col, _text_collapse_keyer(text_col) if collapse_exact else None,
+        payload, band, lambda col: col.to_numpy(zero_copy_only=False), hamming,
+        lambda dist: dist <= max_hamming,
+        value_col="hamming", value_dtype="int64", intra_value=0,
+        expand_cap=expand_cap, max_bucket=max_bucket,
+        driver_verify_max=_SIMHASH_DRIVER_VERIFY_MAX,
+        broadcast_candidate_ids_max=5_000_000, name="simhash_pairs",
     )
 
 
@@ -1992,369 +1644,65 @@ def embedding_neardup_pairs(
     expand_cap: int | None = None,
     max_bucket: int | None = None,
 ):
-    """Cosine near-duplicates via multi-table random-hyperplane LSH with
-    exact verification through a JOIN back to a single vector table.
+    """Cosine near-duplicate pairs ``(id_a < id_b, cosine)`` on
+    :func:`_banded_pairs`: the payload is the float64 vector, each of
+    ``n_tables`` random-hyperplane tables buckets by its ``n_planes``
+    sign bits, and the verify keeps cosine >= ``threshold`` (a zero-norm
+    side scores 0).
+
+    One k-plane table finds a pair at cosine c with probability only p^k
+    (p = 1 - acos(c)/pi), ~0.38 at c=0.97 for k=12; ``n_tables`` tables
+    raise it to 1-(1-p^k)^T (:func:`lsh_cosine_recall`, ~0.978 at c=0.97
+    with the defaults, logged).  Scaled copies (cosine exactly 1.0) share
+    every sign bit, so their recall is 1.
 
     ``collapse_exact`` / ``expand_cap`` / ``max_bucket`` mirror
-    :func:`minhash_lsh_pairs`: byte-identical vectors collapse to one
-    representative before bucketing (cosine exactly 1.0 by construction;
-    zero-norm duplicates are dropped, matching the verify guard that
-    never pairs them) and verified pairs expand back through the dup
-    groups at emit.
-
-    A single k-plane table finds a true pair at cosine c with probability
-    only p^k (p = 1 - acos(c)/pi), e.g. ~0.38 at c=0.97 for k=12.
-    ``n_tables`` independent tables raise that to 1-(1-p^k)^T
-    (:func:`lsh_cosine_recall`; ~0.978 at c=0.97 with the defaults).
-    Pairs at cosine exactly 1.0 (scaled copies) share every sign bit, so
-    their recall is 1 in every table.
-
-    Scale shape (round-2 fix: the old in-bucket verify shipped the FULL
-    vector ``n_tables`` times through the bucket shuffle — the dominant
-    exchange cost at embedding scale):
-
-    1. signature pass emits (shard, bucket, id) only — 20 bytes/row
-       regardless of vector width;
-    2. one bucket-shard groupby yields DISTINCT candidate pairs;
-    3. candidate ids are collected (bounded: near-dup candidates are
-       sparse; above ``broadcast_candidate_ids_max`` pairs the id filter
-       is skipped and every vector ships once) and broadcast via ray.put
-       so only TOUCHED vectors enter the verify join;
-    4. when <= ``driver_verify_max`` vectors are touched (the common
-       case: near-dups are sparse), the touched vectors are collected to
-       the driver — a BOUNDED materialization, like neardup_clusters'
-       union-find path — and every pair is verified in one matmul with no
-       further shuffle; otherwise
-    5. an id-shard groupby joins each candidate id to its vector (each
-       touched vector crosses the wire once, plus once per pair side) and
-       a pair-shard groupby computes exact cosines vectorized, also
-       deduplicating pairs found via buckets in different shards.
-
-    Exchange bytes per vector are independent of ``n_tables``; the logged
-    estimate makes the trade auditable.
-
-    Safe for the full signed int64 id range: the verify join carries an
-    explicit ``kind`` column (Ray's arrow->pandas widens nullable int64
-    to float64, so null-tagging is unusable and value sentinels would
-    collide with real negative ids).  Rows with a NULL id or NULL vector
-    are dropped at entry per the SQL-null contract
+    :func:`minhash_lsh_pairs`: byte-identical vectors collapse before
+    banding and expand back at cosine 1.0; zero-norm duplicates are
+    dropped, as the verify never pairs them.  Rows with a NULL id or NULL
+    vector are dropped at entry per the SQL-null contract
     (drop_invalid_vector_rows, logged).
     """
-    import logging
-
-    import ray
-
-    logging.getLogger(__name__).info(
-        "embedding_neardup_pairs: expected LSH recall at cosine=%.3f is %.3f "
-        "(n_planes=%d, n_tables=%d); bucket shuffle ships 20-byte signature "
-        "rows, vectors ride the verify join once per touched id",
-        threshold,
-        lsh_cosine_recall(threshold, n_planes, n_tables),
-        n_planes,
-        n_tables,
-    )
-    from deduce_ray.ops.agg import merge_shards
     from deduce_ray.ops.similarity import drop_invalid_vector_rows
 
-    # SQL-null contract at the op boundary: one fused filter stage covers
-    # the collapse keyer, signature pass and both vector-fetch legs
-    ds_embeddings = ds_embeddings.map_batches(
-        lambda b: drop_invalid_vector_rows(b, id_col, vec_col),
-        batch_format="pyarrow",
-    )
-
-    dup_edges = None
-    if collapse_exact:
-        ds_embeddings, dup_edges = collapse_exact_dups(
-            ds_embeddings, id_col, _vector_collapse_keyer(vec_col)
-        )
-    n_shards = merge_shards()
-
-    def signatures(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
+    def payload(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "shard": pa.array([], type=pa.int32()),
-                "bucket": pa.array([], type=pa.int64()),
-                "id": pa.array([], type=pa.int64()),
+                "id": pc.cast(batch.column(id_col), pa.int64()),
+                "payload": pc.cast(batch.column(vec_col), pa.list_(pa.float64())),
             }
         )
-        if batch.num_rows == 0:
-            return empty
-        batch = drop_invalid_vector_rows(batch, id_col, vec_col)
-        if batch.num_rows == 0:
-            return empty
-        vecs = _vec_matrix(batch.column(vec_col))
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        out_shard, out_bucket, out_ids = [], [], []
+
+    def band(batch: pa.Table):
+        vecs = _vec_matrix(batch.column("payload"))
+        planes = _lsh_planes(vecs.shape[1], n_planes, n_tables)
         weights = 1 << np.arange(n_planes)
-        all_planes = _lsh_planes(vecs.shape[1], n_planes, n_tables)
-        for t in range(n_tables):
-            codes = ((vecs @ all_planes[t]) > 0) @ weights
-            buckets = t * (1 << n_planes) + codes.astype(np.int64)
-            out_shard.append((buckets % n_shards).astype(np.int32))
-            out_bucket.append(buckets)
-            out_ids.append(ids)
-        return pa.table(
-            {
-                "shard": pa.array(np.concatenate(out_shard), type=pa.int32()),
-                "bucket": pa.array(np.concatenate(out_bucket), type=pa.int64()),
-                "id": pa.array(np.concatenate(out_ids), type=pa.int64()),
-            }
-        )
+        codes = [((vecs @ planes[t]) > 0) @ weights + t * (1 << n_planes) for t in range(n_tables)]
+        return np.concatenate(codes).astype(np.int64), np.tile(_int64(batch.column("id")), n_tables)
 
-    def candidate_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        docs, ia, ib = _hot_bucket_pairs(df, "bucket", "id", max_bucket)
-        if docs is None:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                }
-            )
-        ids = docs["id"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]})
+    def decode(col):
+        mat = _vec_matrix(col)
+        return mat, np.linalg.norm(mat, axis=1)
 
-    sigs = ds_embeddings.map_batches(signatures, batch_format="pyarrow")
-    cand = (
-        sigs.groupby("shard")
-        .map_groups(candidate_pairs, batch_format="pandas")
-        .materialize()
-    )
-
-    n_pairs = cand.count()
-    if n_pairs == 0:
-        # nothing to verify: skip the join entirely (without this, the
-        # id-shard leg would ship EVERY vector for a guaranteed-empty
-        # result — the exact exchange the signature-only design avoids)
-        import ray.data
-
-        return _expand_dup_pairs(
-            ray.data.from_arrow(
-                pa.table(
-                    {
-                        "id_a": pa.array([], type=pa.int64()),
-                        "id_b": pa.array([], type=pa.int64()),
-                        "cosine": pa.array([], type=pa.float64()),
-                    }
-                )
-            ),
-            dup_edges,
-            "cosine",
-            1.0,
-            "float64",
-            expand_cap,
-        )
-    touched_ref = None
-    if 0 < n_pairs <= broadcast_candidate_ids_max:
-        # candidate_pairs dedupes within a shard only; the same pair found
-        # via buckets in DIFFERENT shards appears once per shard
-        cand_df = cand.to_pandas().drop_duplicates(subset=["id_a", "id_b"])
-        touched = np.unique(
-            np.concatenate([cand_df["id_a"].to_numpy(), cand_df["id_b"].to_numpy()])
-        )
-        touched_ref = ray.put(pa.array(touched, type=pa.int64()))
-        logging.getLogger(__name__).info(
-            "embedding_neardup_pairs: %d candidate pairs over %d touched "
-            "vectors; verify join ships only those vectors",
-            n_pairs,
-            len(touched),
-        )
-
-        if len(touched) <= driver_verify_max:
-            # sparse-candidate fast path (the common case: near-dups are
-            # rare relative to the corpus): collect ONLY the touched
-            # vectors to the driver — a bounded materialization, like the
-            # union-find path in neardup_clusters — and verify all pairs
-            # in one matmul, skipping both join shuffles entirely
-            def touched_vectors(batch: pa.Table) -> pa.Table:
-                ids = np.asarray(
-                    batch.column(id_col).to_pylist(), dtype=np.int64
-                )
-                keep = pc.is_in(
-                    pa.array(ids, type=pa.int64()),
-                    value_set=ray.get(touched_ref),
-                ).to_numpy(zero_copy_only=False)
-                idx = np.flatnonzero(keep)
-                return pa.table(
-                    {
-                        "id": pa.array(ids[idx], type=pa.int64()),
-                        "vec": pc.cast(
-                            batch.column(vec_col).take(
-                                pa.array(idx, type=pa.int64())
-                            ),
-                            pa.list_(pa.float64()),
-                        ),
-                    }
-                )
-
-            import ray.data
-
-            vec_df = (
-                ds_embeddings.map_batches(
-                    touched_vectors, batch_format="pyarrow"
-                )
-                .to_pandas()
-                .drop_duplicates(subset=["id"])
-            )
-            mat = np.asarray(list(vec_df["vec"]), dtype=np.float64)
-            index = {int(i): p for p, i in enumerate(vec_df["id"])}
-            ia = np.fromiter(
-                (index[int(x)] for x in cand_df["id_a"]),
-                dtype=np.int64,
-                count=len(cand_df),
-            )
-            ib = np.fromiter(
-                (index[int(x)] for x in cand_df["id_b"]),
-                dtype=np.int64,
-                count=len(cand_df),
-            )
-            # chunk over pairs: mat[ia]/mat[ib] would materialize two
-            # (n_pairs, dim) float64 copies — at 5M pairs x 768 dims that
-            # is ~60 GB on the driver.  65536-pair chunks bound the
-            # working set to ~0.8 GB at 768 dims regardless of pair count.
-            norms = np.linalg.norm(mat, axis=1)
-            cos = np.empty(len(ia), dtype=np.float64)
-            chunk = 65536
-            for lo in range(0, len(ia), chunk):
-                hi = min(lo + chunk, len(ia))
-                ca, cb = ia[lo:hi], ib[lo:hi]
-                denom = norms[ca] * norms[cb]
-                denom[denom == 0] = 1.0
-                cos[lo:hi] = (mat[ca] * mat[cb]).sum(axis=1) / denom
-            # threshold on the UNROUNDED cosine (matching the minhash
-            # convention and the join path below); round only the stored
-            # value — rounding first would admit pairs in
-            # [threshold - 5e-7, threshold) that an exact oracle excludes
-            keep_pairs = cos >= threshold
-            out = pd.DataFrame(
-                {
-                    "id_a": cand_df["id_a"].to_numpy(dtype=np.int64)[keep_pairs],
-                    "id_b": cand_df["id_b"].to_numpy(dtype=np.int64)[keep_pairs],
-                    "cosine": np.round(cos[keep_pairs], 6),
-                }
-            ).astype({"id_a": "int64", "id_b": "int64", "cosine": "float64"})
-            return _expand_dup_pairs(
-                ray.data.from_pandas(out),
-                dup_edges,
-                "cosine",
-                1.0,
-                "float64",
-                expand_cap,
-            )
-
-    # verify join, leg 1: requests (one row per pair side) + vectors,
-    # co-sharded on id.  An explicit int8 ``kind`` column (0 = request,
-    # 1 = vector) discriminates the legs — a negative-id_a sentinel would
-    # misclassify real negative ids (hash-derived ids are signed int64).
-    # id_a/id_b on the vector leg are plain -1 FILL values, never tested:
-    # Ray's arrow->pandas conversion widens nullable int64 to float64
-    # (rounds 63-bit ids), so nulls are not an option.
-    def requests(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column("id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        join_id = np.concatenate([a, b])
-        return pa.table(
-            {
-                "id_shard": pa.array(join_id % n_shards, type=pa.int64()),
-                "join_id": pa.array(join_id, type=pa.int64()),
-                "id_a": pa.array(np.concatenate([a, a]), type=pa.int64()),
-                "id_b": pa.array(np.concatenate([b, b]), type=pa.int64()),
-                "kind": pa.array(
-                    np.zeros(2 * len(a), dtype=np.int8), type=pa.int8()
-                ),
-                "vec": pa.nulls(2 * len(a), type=pa.list_(pa.float64())),
-            }
-        )
-
-    def vector_rows(batch: pa.Table) -> pa.Table:
-        batch = drop_invalid_vector_rows(batch, id_col, vec_col)
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        vecs = batch.column(vec_col)
-        if touched_ref is not None:
-            keep = pc.is_in(
-                pa.array(ids, type=pa.int64()), value_set=ray.get(touched_ref)
-            ).to_numpy(zero_copy_only=False)
-            idx = np.flatnonzero(keep)
-            ids = ids[idx]
-            vecs = vecs.take(pa.array(idx, type=pa.int64()))
-        n = len(ids)
-        return pa.table(
-            {
-                "id_shard": pa.array(ids % n_shards, type=pa.int64()),
-                "join_id": pa.array(ids, type=pa.int64()),
-                "id_a": pa.array(np.full(n, -1), type=pa.int64()),
-                "id_b": pa.array(np.full(n, -1), type=pa.int64()),
-                "kind": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
-                "vec": pc.cast(vecs, pa.list_(pa.float64())),
-            }
-        )
-
-    tagged = cand.map_batches(requests, batch_format="pyarrow").union(
-        ds_embeddings.map_batches(vector_rows, batch_format="pyarrow")
-    )
-
-    def attach_vectors(df: pd.DataFrame) -> pd.DataFrame:
-        have = df[df["kind"] == 1][["join_id", "vec"]].drop_duplicates(
-            subset=["join_id"]
-        )
-        reqs = df[df["kind"] == 0][["join_id", "id_a", "id_b"]]
-        out = reqs.merge(have, on="join_id")[["id_a", "id_b", "join_id", "vec"]]
-        out = out.astype({"id_a": "int64", "id_b": "int64", "join_id": "int64"})
-        out["pair_shard"] = (
-            (out["id_a"].to_numpy().astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)
-             ^ out["id_b"].to_numpy().astype(np.uint64))
-            % n_shards
-        ).astype("int64")
-        return out
-
-    def verify_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        sides_a = df[df["join_id"] == df["id_a"]].drop_duplicates(
-            subset=["id_a", "id_b"]
-        )
-        sides_b = df[df["join_id"] == df["id_b"]].drop_duplicates(
-            subset=["id_a", "id_b"]
-        )
-        merged = sides_a.merge(
-            sides_b, on=["id_a", "id_b"], suffixes=("_a", "_b")
-        )
-        if merged.empty:
-            return pd.DataFrame(
-                {
-                    "id_a": pd.Series(dtype="int64"),
-                    "id_b": pd.Series(dtype="int64"),
-                    "cosine": pd.Series(dtype="float64"),
-                }
-            )
-        mat_a = np.asarray(list(merged["vec_a"]), dtype=np.float64)
-        mat_b = np.asarray(list(merged["vec_b"]), dtype=np.float64)
-        na = np.linalg.norm(mat_a, axis=1)
-        nb = np.linalg.norm(mat_b, axis=1)
-        denom = na * nb
+    def cosine(decoded, ia, ib):
+        mat, norms = decoded
+        denom = norms[ia] * norms[ib]
         denom[denom == 0] = 1.0
-        cos = (mat_a * mat_b).sum(axis=1) / denom
-        # unrounded threshold, rounded stored value (minhash convention)
-        keep = cos >= threshold
-        out = pd.DataFrame(
-            {
-                "id_a": merged["id_a"].astype("int64")[keep],
-                "id_b": merged["id_b"].astype("int64")[keep],
-                "cosine": np.round(cos[keep], 6),
-            }
-        )
-        return out.reset_index(drop=True)
+        return (mat[ia] * mat[ib]).sum(axis=1) / denom
 
-    joined = (
-        tagged.groupby("id_shard")
-        .map_groups(attach_vectors, batch_format="pandas")
-        .groupby("pair_shard")
-        .map_groups(
-            lambda df: verify_pairs(df.drop(columns=["pair_shard"])),
-            batch_format="pandas",
-        )
-    )
-    return _expand_dup_pairs(
-        joined, dup_edges, "cosine", 1.0, "float64", expand_cap
+    recall = lsh_cosine_recall(threshold, n_planes, n_tables)
+    return _banded_pairs(
+        # SQL-null contract at the op boundary, ahead of the collapse keyer
+        ds_embeddings.map_batches(
+            lambda b: drop_invalid_vector_rows(b, id_col, vec_col), batch_format="pyarrow"
+        ),
+        id_col, _vector_collapse_keyer(vec_col) if collapse_exact else None,
+        payload, band, decode, cosine, lambda cos: cos >= threshold,
+        value_col="cosine", value_dtype="float64", intra_value=1.0,
+        expand_cap=expand_cap, max_bucket=max_bucket, driver_verify_max=driver_verify_max,
+        broadcast_candidate_ids_max=broadcast_candidate_ids_max,
+        name=f"embedding_neardup_pairs (LSH recall {recall:.3f} expected at cosine "
+        f"{threshold:.3f}, n_planes={n_planes}, n_tables={n_tables})",
     )
 
 

@@ -201,6 +201,14 @@ def embed_terms(
     return ds.map_batches(expand, batch_format="pyarrow")
 
 
+def sign_sql(h64: str) -> str:
+    """DuckDB mirror of the engine's slot sign (``h64 < 1 << 63``).  The
+    bound is a UBIGINT literal: ``2 ** 63`` is DOUBLE in DuckDB, and the
+    comparison then rounds ``h64`` to the nearest double, so the top 512
+    values below 2**63 read as -1.0."""
+    return f"CASE WHEN {h64} < 9223372036854775808::UBIGINT THEN 1.0 ELSE -1.0 END"
+
+
 def embed_sql(dim: int = 32) -> str:
     """DuckDB mirror of :func:`embed_terms` — recomputes every weight
     from md5, value-checking the whole encode path."""
@@ -224,8 +232,7 @@ def embed_sql(dim: int = 32) -> str:
         comp AS (
           SELECT doc_id,
                  CAST(h64 % {int(dim)} AS BIGINT) AS dim_idx,
-                 sum(CASE WHEN h64 < CAST(2 AS UBIGINT) ** 63
-                          THEN 1.0 ELSE -1.0 END) AS v
+                 sum({sign_sql('h64')}) AS v
           FROM slot GROUP BY doc_id, dim_idx
         ),
         nrm AS (

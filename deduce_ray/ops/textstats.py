@@ -243,19 +243,6 @@ def repetition_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
-def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Exact document fingerprint (md5 hex, matches DuckDB's md5())."""
-    texts = batch.column(text_col).to_pylist()
-    return pa.table(
-        {
-            "doc_id": batch.column("doc_id"),
-            "fingerprint": pa.array(
-                [hashlib.md5((t or "").encode("utf-8")).hexdigest() for t in texts]
-            ),
-        }
-    )
-
-
 def shingle_fingerprint(text: str, k: int = 5) -> int:
     """Winnowing-style fingerprint: min 64-bit hash over word k-shingles
     (deterministic; used by near-dup and provenance ops)."""

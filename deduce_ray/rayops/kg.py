@@ -1333,27 +1333,15 @@ def graph_components(
     lab = labels.map_batches(label_rows, batch_format="pyarrow")
 
     def join_names(rows: pa.Table) -> pa.Table:
-        # neardup_clusters' empty partitions are pandas blocks, so a
-        # partition may arrive through pandas: an all-null name column
-        # then comes back as the null type (component_id has no nulls,
-        # so it stays int64)
         is_name = pc.equal(rows.column("tag"), 0)
         names = (
             rows.filter(is_name)
             .select(["node_id", "pred", "obj"])
-            .cast(pa.schema([("node_id", pa.int64()), ("pred", pa.string()), ("obj", pa.string())]))
             .group_by(["node_id", "pred", "obj"])
             .aggregate([])
         )
         comps = rows.filter(pc.invert(is_name)).select(["node_id", "component_id"])
-        joined = names.join(comps, keys="node_id")
-        return pa.table(
-            {
-                "pred": joined.column("pred"),
-                "obj": joined.column("obj"),
-                "component_id": joined.column("component_id").cast(pa.int64()),
-            }
-        )
+        return names.join(comps, keys="node_id").select(["pred", "obj", "component_id"])
 
     return shard_exchange(vocab.union(lab), "shard", n_shards, join_names)
 

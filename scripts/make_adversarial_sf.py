@@ -227,8 +227,8 @@ def build(out_dir: str, shape_breakers: bool = False, base: str = BASE) -> None:
         ])
         # duplicate doc_id with DIFFERENT text: pair-emitting dedup ops
         # define their output over unique ids (documented precondition —
-        # _hot_bucket_pairs keeps the first row per id, so behavior under
-        # id collisions is order-dependent); KG ops handle it (physical
+        # _banded_pairs verifies with the first payload row per id, so
+        # behavior under id collisions is order-dependent); KG ops handle it (physical
         # row keys).  Tier 2 because it is a contract probe.
         t["documents"] = _append(t["documents"], [
             {"doc_id": 900009, "text": "same id different text entirely "

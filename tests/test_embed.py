@@ -290,3 +290,18 @@ def test_semantic_stage_keep_longest(ray_session):
         checkpoint=False,
     ).to_pandas()
     assert sorted(out["doc_id"]) == [200, 300]
+
+
+def test_sign_sql_boundary_literals():
+    """The oracle's slot sign matches the engine's ``h64 < 1 << 63`` at
+    the top of the positive half, where a DOUBLE bound rounds ``h64`` up
+    to 2**63 and flips the sign."""
+    import duckdb
+
+    from deduce_ray.ops.embed import sign_sql
+
+    for h64 in (2**63 - 1, 2**63, 2**63 - 512, 2**63 - 513, 0, 2**64 - 1):
+        got = duckdb.sql(
+            f"SELECT {sign_sql('h')} FROM (SELECT {h64}::UBIGINT AS h)"
+        ).fetchone()[0]
+        assert float(got) == (1.0 if h64 < 1 << 63 else -1.0), h64

@@ -252,37 +252,6 @@ def test_y4m_round_trip_any_shape(n, h, w, seed):
             raise AssertionError("truncated payload must not parse")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2**63 - 1),
-            st.integers(min_value=0, max_value=2**63 - 1),
-        ),
-        max_size=60,
-    )
-)
-def test_dedup_pairs_driver_path_distinct(pairs):
-    """The bounded driver-side pair dedup keeps exactly one row per
-    (id_a, id_b) — including the empty input that used to crash — and
-    preserves 63-bit ids exactly."""
-    import pandas as pd
-    import ray.data
-
-    from deduce_ray.ops.dedup import _dedup_pairs
-
-    df = pd.DataFrame(
-        {
-            "id_a": pd.Series([a for a, _ in pairs], dtype="int64"),
-            "id_b": pd.Series([b for _, b in pairs], dtype="int64"),
-            "jaccard": pd.Series([0.75] * len(pairs), dtype="float64"),
-        }
-    )
-    out = _dedup_pairs(ray.data.from_pandas(df), "jaccard").take_all()
-    assert {(r["id_a"], r["id_b"]) for r in out} == set(pairs)
-    assert len(out) == len(set(pairs))
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.tuples(st.text(max_size=12), st.text(max_size=12)),

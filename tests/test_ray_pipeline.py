@@ -464,29 +464,6 @@ class TestDedupOps:
         ).take_all()
         assert {(p["id_a"], p["id_b"]) for p in pairs} == {(1, 2)}
 
-    def test_dedup_pairs_driver_and_sharded_paths_agree(self, ray_session):
-        import ray.data
-
-        from deduce_ray.ops.dedup import _dedup_pairs
-
-        rows = [
-            {"id_a": 1, "id_b": 2, "jaccard": 0.9},
-            {"id_a": 1, "id_b": 2, "jaccard": 0.9},  # cross-shard dupe
-            {"id_a": 3, "id_b": 4, "jaccard": 0.7},
-        ]
-
-        def run(**kw):
-            return sorted(
-                (r["id_a"], r["id_b"], r["jaccard"])
-                for r in _dedup_pairs(
-                    ray.data.from_items(rows), "jaccard", **kw
-                ).take_all()
-            )
-
-        want = [(1, 2, 0.9), (3, 4, 0.7)]
-        assert run() == want
-        assert run(driver_max=0) == want
-
     def test_embedding_neardup_join_path_matches_fast_path(self, ray_session):
         """driver_verify_max=0 forces the distributed verify join; it must
         report exactly the fast path's pairs and cosines."""
