@@ -1,6 +1,9 @@
-"""Partial-aggregation helper: combiner inside map_batches, then one small
-shuffle to merge — the scale-correct shape for high-cardinality inputs with
-low-cardinality group keys (pre-aggregate before the all-to-all exchange).
+"""Partial aggregation on the sampling-free exchange: a combiner inside
+map_batches, then one :func:`shard_exchange` to merge — the scale-correct
+shape for high-cardinality inputs with low-cardinality group keys
+(pre-aggregate before the all-to-all exchange).  Combiner and merge are
+Arrow ``group_by`` calls, and every exchange shards its key with the one
+hash :func:`key_shards`.
 
 Aggregation spec: {out_col: (in_col, kind)} with kind in
 {"sum", "min", "max", "count", "sum_sq"}; "count" ignores in_col.
@@ -10,7 +13,9 @@ bit-for-bit — use integer cents for money columns to avoid float drift.
 
 from __future__ import annotations
 
-import pandas as pd
+import zlib
+
+import pyarrow as pa
 
 _PARTIAL_KIND = {"sum": "sum", "min": "min", "max": "max", "count": "sum", "sum_sq": "sum"}
 
@@ -26,14 +31,15 @@ def _cluster_cpus() -> int:
 
 def merge_shards(minimum: int = 32, per_cpu: int = 4) -> int:
     """Default shard count for the sharded merge shuffles: 4 shards per
-    CPU, at least 32, far below the old fixed 256.  For the remaining
-    ``map_groups`` exchanges it is also the dispatch count: one pandas
+    CPU, at least 32, far below the old fixed 256.  For
+    :func:`shard_exchange` it is only the hash space: that exchange
+    merges in ``min(n_shards, CPUs)`` tasks.  For the exchanges still on
+    ``groupby("__shard").map_groups`` (the dedup, substring and
+    canonicalization shuffles) it is also the dispatch count: one pandas
     call per shard, a fixed ~5-10 ms each, which at 256 shards dominated
     small-corpus merge stages (measured: the flagship dedup merge dropped
-    3.4 s -> <1 s at 4 x CPUs).  For :func:`shard_exchange` it is only
-    the hash space: that exchange merges in ``min(n_shards, CPUs)``
-    tasks.  The shard keys are uniform hashes, so fewer shards cannot
-    create skew; the count grows with the CPU count.  Resolved at
+    3.4 s -> <1 s at 4 x CPUs).  The shard keys are uniform hashes, so
+    fewer shards cannot create skew; the count grows with the CPU count.  Resolved at
     pipeline BUILD time; if Ray is not initialized yet the 32-CPU
     fallback applies (128 shards) — call after ray.init() for an exact
     fit."""
@@ -104,6 +110,41 @@ def shard_exchange(ds, shard_col: str, n_shards: int, merge):
     return partitioned.map_batches(merge_partition, batch_size=None, batch_format="pyarrow")
 
 
+def key_shards(cols, n: int) -> pa.Array:
+    """Shard in ``[0, n)`` of each row of a key given as its columns: the
+    crc32 codes of the columns' string forms, mixed.  A null field maps
+    to 2**32, which no crc32 reaches, so a null-typed column and a typed
+    one with nulls agree.  One column's shard is ``crc32(value) % n``.
+    This is the one key-shard hash: the grouped aggregates, the graph
+    exchanges and the sinks' unit routing all shard through it."""
+    import numpy as np
+
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for col in cols:
+        crc = per_distinct(col.cast(pa.string()), lambda v: zlib.crc32(v.encode()), 1 << 32)
+        h = h * np.uint64(1_000_003) ^ crc.astype(np.uint64)
+    return pa.array((h % np.uint64(n)).astype(np.int64))
+
+
+def _group(table: pa.Table, keys: list[str], specs: dict) -> pa.Table:
+    """One Arrow ``group_by(keys)``: the key columns, then ``out`` for each
+    ``out: (in_col, fn)`` of ``specs`` (``in_col`` ``[]`` for
+    ``count_all``).  ``sum``/``min``/``max`` skip nulls and leave an
+    all-null group NULL (SQL); a null key is one group of its own, and
+    keys compare by their bytes, a NUL included."""
+    # Arrow names each result "<col>_<fn>" (or "count_all"); outputs
+    # that share a spec share its one column
+    named = {
+        out: "count_all" if fn == "count_all" else f"{col}_{fn}"
+        for out, (col, fn) in specs.items()
+    }
+    unique = {named[out]: spec for out, spec in specs.items()}
+    grouped = table.group_by(keys).aggregate(list(unique.values()))
+    return pa.table(
+        {**{k: grouped.column(k) for k in keys}, **{o: grouped.column(named[o]) for o in specs}}
+    )
+
+
 def grouped_agg(
     ds,
     keys: list[str],
@@ -112,87 +153,38 @@ def grouped_agg(
 ):
     """Dataset -> one row per key combination with named aggregate columns.
 
-    The merge shuffle is keyed on ``hash(keys) % n_shards`` rather than the
-    raw keys: Ray's ``map_groups`` invokes the UDF once per group, which at
-    high key cardinality means one pandas call per key (measured ~50 s of
-    UDF time for 139k customer keys).  Sharding keeps it to <= n_shards
-    vectorized pandas merges while every copy of a key still lands in one
-    task, so results are exact.
+    Each block is combined with an Arrow ``group_by`` and its partial rows
+    tagged with :func:`key_shards` of the key, then one
+    :func:`shard_exchange` merges the partials with a second Arrow
+    ``group_by`` (counts and sums add, minima and maxima fold).  Every
+    copy of a key lands in one merge, so results are exact, and no pandas
+    frame is built: a key's type, its nulls and its bytes after a NUL
+    survive as they arrived.
     """
+    import pyarrow.compute as pc
+
     if n_shards is None:
         n_shards = merge_shards()
 
-    def _restore_key_dtypes(out: pd.DataFrame, ref: pd.DataFrame):
-        """pandas groupby degrades an all-null OBJECT key column to
-        float64 NaN.  That is wrong twice over: (a) the output should be
-        a typed NULL (None), matching SQL's NULL group, and (b)
-        hash_pandas_object hashes float64-NaN DIFFERENTLY from
-        object-NaN/None, so a null group whose combine block degraded
-        could land on a different shard than one that kept object dtype
-        — splitting one SQL group into two output rows.  Restore the
-        input dtype and represent nulls as real None."""
-        for k in keys:
-            if ref[k].dtype == object and out[k].dtype != object:
-                out[k] = out[k].astype(object)
-            if out[k].dtype == object:
-                out[k] = out[k].where(out[k].notna(), None)
-        return out
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = {}
-        # dropna=False: SQL GROUP BY keeps null-keyed groups and COUNT(*)
-        # counts their rows; the pandas default silently drops them
-        grouped = df.groupby(keys, as_index=False, sort=True, dropna=False)
-        base = grouped.size().rename(columns={"size": "__n"})
-        out = _restore_key_dtypes(base[keys].copy(), df)
-        for out_col, (in_col, kind) in aggs.items():
+    def combine(batch: pa.Table) -> pa.Table:
+        specs = {}
+        for out, (col, kind) in aggs.items():
             if kind == "count":
-                out[out_col] = base["__n"].astype("int64")
+                specs[out] = ([], "count_all")
             elif kind == "sum_sq":
-                sq = df.assign(__sq=df[in_col] * df[in_col])
-                out[out_col] = (
-                    sq.groupby(keys, sort=True, dropna=False)["__sq"]
-                    .sum(min_count=1)
-                    .values
-                )
-            elif kind == "sum":
-                # min_count=1 = SQL SUM semantics: nulls are skipped and
-                # an all-null group is NULL, not 0 (pandas' default)
-                out[out_col] = grouped[in_col].sum(min_count=1)[in_col].values
+                values = batch.column(col)
+                batch = batch.append_column(f"__sq_{out}", pc.multiply(values, values))
+                specs[out] = (f"__sq_{out}", "sum")
             else:
-                out[out_col] = getattr(grouped[in_col], kind)()[in_col].values
-        # deterministic shard of the key tuple (fixed pandas hash_key)
-        out["__shard"] = (
-            pd.util.hash_pandas_object(out[keys], index=False) % n_shards
-        ).astype("int64")
-        return out
+                specs[out] = (col, kind)
+        partial = _group(batch, keys, specs)
+        return partial.append_column("__shard", key_shards(partial.select(keys).columns, n_shards))
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["__shard"])
-        grouped = df.groupby(keys, as_index=False, sort=True, dropna=False)
-        out = _restore_key_dtypes(grouped.size()[keys].copy(), df)
-        for out_col, (_, kind) in aggs.items():
-            pk = _PARTIAL_KIND[kind]
-            if pk == "sum":
-                # a partial that is NULL (all-null combine output) must
-                # not zero the merged total; an all-NULL set stays NULL
-                out[out_col] = grouped[out_col].sum(min_count=1)[out_col].values
-            else:
-                out[out_col] = getattr(grouped[out_col], pk)()[out_col].values
-        return out
+    def merge_partials(rows: pa.Table) -> pa.Table:
+        return _group(rows, keys, {out: (out, _PARTIAL_KIND[kind]) for out, (_, kind) in aggs.items()})
 
-    # batch_size here also COALESCES: map_batches concatenates small
-    # upstream blocks to reach it, so the sort-based groupby sees tens of
-    # blocks, not thousands (3200 blocks x 256 partitions of metadata made
-    # the exchange pathologically slow), and the combiner collapses more
-    # per call
-    # num_cpus=0.9 prevents fusion with an expensive upstream map chain:
-    # fused, the coalescing batch_size would gate upstream task granularity
-    # at 65536 input rows and cap its parallelism
-    partial = ds.map_batches(
-        combine, batch_format="pandas", batch_size=65536, num_cpus=0.9
-    )
-    return partial.groupby("__shard").map_groups(merge, batch_format="pandas")
+    partial = ds.map_batches(combine, batch_size=None, batch_format="pyarrow")
+    return shard_exchange(partial, "__shard", n_shards, merge_partials)
 
 
 def approx_distinct(
@@ -206,42 +198,29 @@ def approx_distinct(
 
     The sketch is the canonical mergeable shape for distinct counts at
     scale: per-batch register arrays (2^p bytes per group, independent of
-    cardinality), elementwise-max merges under a sharded groupby, then the
-    bias-corrected HLL estimate.  md5-based hashing keeps the result
-    deterministic across runs and cluster sizes.  Standard error is about
-    1.04/sqrt(2^p) (~1.6% at the default p=12).
+    cardinality), elementwise-max merges on one :func:`shard_exchange`
+    keyed by :func:`key_shards`, then the bias-corrected HLL estimate.
+    Rows are grouped with Arrow, so null keys form one group and keys
+    that differ after a NUL stay apart.  md5-based hashing keeps the
+    result deterministic across runs and cluster sizes.  Standard error
+    is about 1.04/sqrt(2^p) (~1.6% at the default p=12).
 
     Returns one row per key combination with ``approx_distinct`` (int64).
     """
     import hashlib
 
     import numpy as np
-    import pyarrow as pa
 
     m = 1 << p
 
     def sketch_batch(batch: pa.Table) -> pa.Table:
-        df = batch.select(keys).to_pandas()
-        # values come from Arrow, NOT the pandas frame: an int64 column
-        # containing any null widens to float64 under to_pandas, so its
-        # non-null values would hash as "123.0" instead of "123" — a
-        # different sketch for the same logical data (and a mismatch vs
-        # the SQL oracle's CAST(v AS VARCHAR))
-        values = batch.column(value_col).to_pylist()
-        out_keys: list[tuple] = []
-        regs: list[bytes] = []
-        for kv, grp in df.groupby(keys, sort=False, dropna=False):
-            key_tuple = kv if isinstance(kv, tuple) else (kv,)
-            # pandas surfaces a null group key as float NaN even in an
-            # object column; convert back to None so the Arrow key
-            # column stays its real type (mixing NaN into a string
-            # array raises ArrowInvalid)
-            key_tuple = tuple(
-                None if (x is None or x != x) else x for x in key_tuple
-            )
+        grouped = batch.group_by(keys, use_threads=False).aggregate([(value_col, "list")])
+        regs = []
+        # str() of the Arrow value (an int64 stays int, never "123.0")
+        # is what the SQL oracle's CAST(v AS VARCHAR) hashes
+        for values in grouped.column(f"{value_col}_list").to_pylist():
             reg = np.zeros(m, dtype=np.uint8)
-            for i in grp.index:
-                v = values[i]
+            for v in values:
                 if v is None or v != v:
                     continue  # COUNT(DISTINCT) ignores nulls
                 h = int.from_bytes(
@@ -253,46 +232,31 @@ def approx_distinct(
                 rank = (64 - p) - rest.bit_length() + 1
                 if rank > reg[idx]:
                     reg[idx] = rank
-            out_keys.append(key_tuple)
             regs.append(reg.tobytes())
-        cols = {
-            k: pa.array([t[i] for t in out_keys])
-            for i, k in enumerate(keys)
-        }
-        cols["registers"] = pa.array(regs, type=pa.binary())
-        shard = [
-            int.from_bytes(
-                hashlib.md5("|".join(str(x) for x in t).encode()).digest()[:4],
-                "big",
-            )
-            % n_shards
-            for t in out_keys
-        ]
-        cols["__shard"] = pa.array(shard, type=pa.int64())
-        return pa.table(cols)
+        key_cols = grouped.select(keys).columns
+        return pa.table(
+            {
+                **dict(zip(keys, key_cols)),
+                "registers": pa.array(regs, type=pa.binary()),
+                "__shard": key_shards(key_cols, n_shards),
+            }
+        )
 
-    def merge_shard(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for kv, grp in df.groupby(keys, sort=True, dropna=False):
-            key_tuple = kv if isinstance(kv, tuple) else (kv,)
-            # pandas groupby represents a null object key as float NaN;
-            # emit a real None so the Arrow column stays typed and the
-            # output matches SQL's NULL group (not the string 'nan')
-            key_tuple = tuple(
-                None if (x is None or x != x) else x for x in key_tuple
-            )
-            merged = np.zeros(m, dtype=np.uint8)
-            for blob in grp["registers"]:
-                np.maximum(merged, np.frombuffer(blob, dtype=np.uint8), out=merged)
-            est = _hll_estimate(merged)
-            rows.append(dict(zip(keys, key_tuple), approx_distinct=est))
-        return pd.DataFrame(rows, columns=keys + ["approx_distinct"])
+    def merge_registers(rows: pa.Table) -> pa.Table:
+        grouped = rows.group_by(keys, use_threads=False).aggregate([("registers", "list")])
+        est = [
+            _hll_estimate(np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(-1, m).max(axis=0))
+            for blobs in grouped.column("registers_list").to_pylist()
+        ]
+        return pa.table(
+            {
+                **{k: grouped.column(k) for k in keys},
+                "approx_distinct": pa.array(est, type=pa.int64()),
+            }
+        )
 
     sketched = ds.map_batches(sketch_batch, batch_format="pyarrow")
-    return sketched.groupby("__shard").map_groups(
-        lambda df: merge_shard(df.drop(columns=["__shard"])),
-        batch_format="pandas",
-    )
+    return shard_exchange(sketched, "__shard", n_shards, merge_registers)
 
 
 def _hll_estimate(registers) -> int:

@@ -5,7 +5,9 @@ Patterns demonstrated (SURVEY.md §2.6 mapping):
     ``read_parquet`` plus block shaping for the one-file test inputs,
     see deduce_ray.corpus.read_parquet_sliced),
   - vectorized per-batch filters/projections (pyarrow.compute),
-  - partial aggregation before the shuffle (ops.agg.grouped_agg),
+  - partial aggregation before the shuffle (ops.agg.grouped_agg: an Arrow
+    combine per block, one sampling-free exchange on the key shard, an
+    Arrow merge — null and NUL-bearing keys keep their own groups),
   - broadcast hash joins for small dimension tables (ray.put once, probe
     per batch — never a shuffle join against a small side),
   - distributed sort + limit for top-k.
@@ -22,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from deduce_ray.corpus import read_parquet_sliced
-from deduce_ray.ops.agg import grouped_agg
+from deduce_ray.ops.agg import grouped_agg, key_shards, merge_shards, shard_exchange
 
 
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -110,7 +112,7 @@ def pricing_summary(sf_dir: str):
             {
                 "l_returnflag": df["l_returnflag"],
                 "l_linestatus": df["l_linestatus"],
-                "sum_qty": _int_or_float(df["sum_qty"]),
+                "sum_qty": _nullable_int(df["sum_qty"]),
                 "sum_base_price": df["sum_base_cents"] / 100.0,
                 "sum_disc_price": df["sum_disc_units"] / 10000.0,
                 "avg_qty": df["sum_qty"] / df["count_order"],
@@ -142,14 +144,13 @@ def pricing_summary_sql() -> str:
     """
 
 
-def _int_or_float(col: pd.Series) -> pd.Series:
-    """int64 when null-free, float64 (NaN for nulls) otherwise — the same
-    dtype DuckDB's .df() produces for a BIGINT column, so dtype-strict
-    comparisons agree in both the clean and null-bearing cases (pandas
-    extension dtypes like Int64 break numpy-based hash/compare paths)."""
-    return (
-        col.astype("float64") if col.isna().any() else col.astype("int64")
-    )
+def _nullable_int(col: pd.Series) -> pd.Series:
+    """A BIGINT column as pandas' nullable Int64: every block maps to the
+    same Arrow int64, with or without nulls, so the blocks of a
+    multi-partition result concatenate, and the whole result's
+    ``to_pandas`` gives DuckDB's .df() dtype (int64 when null-free,
+    float64 with NaN otherwise)."""
+    return col.astype("Int64")
 
 
 def top_customers(sf_dir: str, k: int = 10):
@@ -383,7 +384,7 @@ def events_hourly(sf_dir: str):
             {
                 "event_type": df["event_type"],
                 # null ts -> NULL hour group (SQL); dtype mirrors DuckDB
-                "hour_epoch": _int_or_float(df["hour_epoch"]),
+                "hour_epoch": _nullable_int(df["hour_epoch"]),
                 "n_events": df["n_events"].astype("int64"),
                 "sum_value": df["sum_cents"] / 100.0,
             }
@@ -459,7 +460,7 @@ def brand_volume(sf_dir: str):
         df = df.copy()
         # an all-null-quantity group sums to NULL (SQL); dtype mirrors
         # DuckDB (int64 clean, float64+NaN when a null exists)
-        df["sum_qty"] = _int_or_float(df["sum_qty"])
+        df["sum_qty"] = _nullable_int(df["sum_qty"])
         df["n_items"] = df["n_items"].astype("int64")
         return df.sort_values("p_brand").reset_index(drop=True)
 
@@ -991,46 +992,41 @@ def events_value_quantiles(sf_dir: str, qs=(0.5, 0.95)):
         aggs={"n": (None, "count")},
     )
 
-    def quantiles(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        # dropna=False: SQL keeps the NULL-type group; NaN cents sort
-        # last under sort_values (= the window's NULLS LAST), so an
-        # all-null-value group reports NULL quantiles like the oracle
-        for etype, grp in df.groupby("event_type", dropna=False):
-            if etype != etype:  # pandas yields NaN for the null key
-                etype = None
-            grp = grp.sort_values("cents")
-            cum = grp["n"].cumsum()
-            total = int(grp["n"].sum())
-            row = {"event_type": etype}
-            for q in qs:
-                need = math.ceil(q * total)
-                hit = grp["cents"][cum >= need]
-                row[f"p{int(q * 100)}"] = (
-                    float(hit.iloc[0]) / 100.0 if len(hit) else float("nan")
-                )
-            rows.append(row)
-        cols = ["event_type"] + [f"p{int(q * 100)}" for q in qs]
-        return pd.DataFrame(rows, columns=cols)
+    def quantiles(rows: pa.Table) -> pa.Table:
+        # one group per distinct event_type (null its own), cents
+        # ascending with nulls last (the window's NULLS LAST): a group
+        # whose ceil(q * total) lands on the null cents reports NULL
+        types = pc.dictionary_encode(rows.column("event_type").combine_chunks())
+        code = pc.fill_null(types.indices, -1).to_numpy()
+        cents = rows.column("cents")
+        null_cents = cents.is_null().to_numpy(zero_copy_only=False)
+        value = pc.fill_null(cents, 0).to_numpy()
+        order = np.lexsort((value, null_cents, code))
+        code, null_cents, value = code[order], null_cents[order], value[order]
+        cum = np.cumsum(rows.column("n").to_numpy()[order])
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        ends = np.r_[starts[1:], len(code)] - 1
+        before = np.r_[0, cum[ends[:-1]]]
+        out = {"event_type": pc.take(rows.column("event_type"), order[starts])}
+        for q in qs:
+            need = np.array([math.ceil(q * int(t)) for t in cum[ends] - before])
+            hit = np.maximum(np.searchsorted(cum, before + need), starts)
+            out[f"p{int(q * 100)}"] = pa.array(value[hit] / 100.0, mask=null_cents[hit])
+        return pa.table(out)
 
-    # per-type histograms are tiny (distinct cent values), so a single
-    # type-keyed groupby is not a skew concern.  Group on a computed
-    # shard of the type rather than the raw column: Ray's groupby drops
-    # null keys, which would silently erase the NULL-type group
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__shard"] = (
-            pd.util.hash_pandas_object(df["event_type"], index=False) % 64
-        ).astype("int64")
-        return df
-
-    return (
-        hist.map_batches(add_shard, batch_format="pandas")
-        .groupby("__shard")
-        .map_groups(
-            lambda df: quantiles(df.drop(columns=["__shard"])),
-            batch_format="pandas",
+    # per-type histograms are tiny (distinct cent values); shard on the
+    # type alone so each type's whole histogram meets in one merge
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "__shard", key_shards([batch.column("event_type")], n_shards)
         )
+
+    n_shards = merge_shards()
+    return shard_exchange(
+        hist.map_batches(tag, batch_size=None, batch_format="pyarrow"),
+        "__shard",
+        n_shards,
+        quantiles,
     )
 
 
@@ -1218,7 +1214,7 @@ def events_sliding(sf_dir: str, window_hours: int = 3, slide_hours: int = 1):
         return pd.DataFrame(
             {
                 "event_type": df["event_type"],
-                "window_start": _int_or_float(df["window_start"]),
+                "window_start": _nullable_int(df["window_start"]),
                 "n_events": df["n_events"].astype("int64"),
                 "sum_value": df["sum_cents"] / 100.0,
             }

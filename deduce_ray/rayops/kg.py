@@ -7,13 +7,15 @@ Scale notes (north_rule):
     stages carry large batch_size values that COALESCE small upstream
     blocks ahead of each sort-based exchange.
   - Merge shuffles run on UNIFORM hash keys (doc-id bucket for the graph
-    key, (pred, obj_norm) hash for entity counts) so the 30%-hot monorepo
-    cannot straggle them; (repo, lang) is the OUTPUT partitioning key,
-    applied at the sink with hot-key salting.
+    key, :func:`deduce_ray.ops.agg.key_shards` of (pred, obj_norm) for
+    entity counts and of the edge key for edge sums) so the 30%-hot
+    monorepo cannot straggle them; (repo, lang) is the OUTPUT
+    partitioning key, applied at the sink with hot-key salting.
   - The graph path's exchanges (dedup, the hot-key count, the sink's
-    unit writes) and the analytics tail's (co-occurrence, the edge sum
-    behind the incremental store, the distributed PageRank and label
-    propagation rounds, the components name join) use
+    unit writes) and the analytics tail's (entity counts and edge sums,
+    both :func:`deduce_ray.ops.agg.grouped_agg`, the co-occurrence doc
+    exchange, the distributed PageRank and label propagation rounds, the
+    components name join) use
     :func:`deduce_ray.ops.agg.shard_exchange`: integer shards take a
     sort with analytic boundaries, so there is no sampling pass, the
     partition count is ``min(n_shards, CPUs)`` rather than the
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 
-from deduce_ray.ops.agg import per_distinct
+from deduce_ray.ops.agg import key_shards, per_distinct
 from deduce_ray.sinks import commit_units, completed_units, write_run_manifest
 
 _GRAPH_KEY = ["repo", "lang", "doc_id", "pred", "obj", "entity_id"]
@@ -159,67 +161,25 @@ def dedup_triples(triples_ds, by_doc_first: bool = False, n_buckets: int | None 
 
 
 def canonical_entities(triples_ds):
-    """Cross-document canonical entity table: groupby (pred, obj) with
-    mention/document counts — the global side of entity linking."""
+    """Cross-document canonical entity table: (pred, obj_norm) with its
+    mention count — the global side of entity linking.  ``obj_norm`` is
+    the lowercased object; the count is :func:`deduce_ray.ops.agg.grouped_agg`'s
+    (an Arrow combine, one sampling-free exchange on the (pred, obj_norm)
+    key shard, so the hottest predicate cannot serialize one merge)."""
     import pyarrow.compute as pc
 
-    def combine(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "pred": pa.array([], type=pa.string()),
-                    "obj_norm": pa.array([], type=pa.string()),
-                    "n_mentions": pa.array([], type=pa.int64()),
-                }
-            )
+    from deduce_ray.ops.agg import grouped_agg
+
+    def normalize(batch: pa.Table) -> pa.Table:
         # cast first: an all-null block arrives with a null-typed obj
         # column, for which utf8_lower has no kernel
-        batch = batch.append_column(
-            "obj_norm",
-            pc.utf8_lower(pc.cast(batch.column("obj"), pa.string())),
-        )
-        grouped = batch.group_by(["pred", "obj_norm"]).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table(
-            {
-                "pred": grouped.column("pred"),
-                "obj_norm": grouped.column("obj_norm"),
-                "n_mentions": grouped.column("count_all"),
-            }
-        )
+        obj_norm = pc.utf8_lower(pc.cast(batch.column("obj"), pa.string()))
+        return pa.table({"pred": batch.column("pred"), "obj_norm": obj_norm})
 
-    combined = triples_ds.map_batches(combine, batch_format="pyarrow")
-
-    # merge shuffle keyed on hash(pred, obj_norm), not bare pred: the
-    # dedup key is (pred, obj_norm), so sharding on its hash is exact and
-    # the hottest predicate cannot serialize behind one group task
-    from deduce_ray.ops.agg import merge_shards
-
-    n_shards = merge_shards()
-
-    def add_shard(df):
-        import pandas as pd
-
-        df = df.copy()
-        df["__shard"] = (
-            pd.util.hash_pandas_object(df[["pred", "obj_norm"]], index=False)
-            % n_shards
-        ).astype("int64")
-        return df
-
-    def merge(df):
-        return df.drop(columns=["__shard"]).groupby(
-            ["pred", "obj_norm"], as_index=False, dropna=False
-        ).agg(n_mentions=("n_mentions", "sum"))
-
-    return (
-        combined.map_batches(
-            add_shard, batch_format="pandas", batch_size=32768,
-            num_cpus=0.9,  # break fusion with the annotate chain
-        )
-        .groupby("__shard")
-        .map_groups(merge, batch_format="pandas")
+    return grouped_agg(
+        triples_ds.map_batches(normalize, batch_size=None, batch_format="pyarrow"),
+        keys=["pred", "obj_norm"],
+        aggs={"n_mentions": (None, "count")},
     )
 
 
@@ -233,17 +193,6 @@ def _one_array(col) -> pa.Array:
 def _doc_buckets(doc_ids, n: int) -> pa.Array:
     """:func:`_doc_bucket` of each id."""
     return pa.array(per_distinct(doc_ids, lambda d: _doc_bucket(d, n)))
-
-
-def _key_shards(cols, n: int) -> pa.Array:
-    """Shard of each row of a string key in ``[0, n)``: the crc32 codes of
-    its columns, mixed."""
-    h = np.zeros(len(cols[0]), dtype=np.uint64)
-    for col in cols:
-        # null maps to 2**32, which no crc32 reaches
-        crc = per_distinct(col.cast(pa.string()), lambda v: zlib.crc32(v.encode()), 1 << 32)
-        h = h * np.uint64(1_000_003) ^ crc.astype(np.uint64)
-    return pa.array((h % np.uint64(n)).astype(np.int64))
 
 
 def _cooccurrence_pairs(
@@ -291,27 +240,12 @@ def _cooccurrence_pairs(
 
 def sum_edges(edges_ds, n_shards: int | None = None):
     """Edge rows (pred_a, obj_a, pred_b, obj_b, n_docs) -> one row per
-    edge key with ``n_docs`` summed: one sampling-free exchange on a
-    crc32 edge shard, merged with an Arrow ``group_by``.  Null key fields
-    form their own groups."""
-    from deduce_ray.ops.agg import merge_shards, shard_exchange
+    edge key with ``n_docs`` summed, by
+    :func:`deduce_ray.ops.agg.grouped_agg`.  Null key fields form their
+    own groups."""
+    from deduce_ray.ops.agg import grouped_agg
 
-    if n_shards is None:
-        n_shards = merge_shards()
-
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__shard", _key_shards([batch.column(c) for c in _EDGE_KEY], n_shards)
-        )
-
-    def sum_edge_counts(rows: pa.Table) -> pa.Table:
-        summed = rows.group_by(_EDGE_KEY).aggregate([("n_docs", "sum")])
-        return pa.table(
-            {**{k: summed.column(k) for k in _EDGE_KEY}, "n_docs": summed.column("n_docs_sum")}
-        )
-
-    tagged = edges_ds.map_batches(tag_edges, batch_size=None, batch_format="pyarrow")
-    return shard_exchange(tagged, "__shard", n_shards, sum_edge_counts)
+    return grouped_agg(edges_ds, _EDGE_KEY, {"n_docs": ("n_docs", "sum")}, n_shards)
 
 
 def cooccurrence_edges(
@@ -1137,7 +1071,7 @@ def pagerank(
         none = pa.nulls(nodes.num_rows, pa.string())
         return pa.table(
             {
-                "shard": _key_shards(nodes.columns, n_shards),
+                "shard": key_shards(nodes.columns, n_shards),
                 "pred": nodes.column("pred"),
                 "obj": nodes.column("obj"),
                 "dpred": none,
@@ -1156,7 +1090,7 @@ def pagerank(
         w = _edge_weights(batch, weight_col)
         return pa.table(
             {
-                "shard": _key_shards([pred, obj], n_shards),
+                "shard": key_shards([pred, obj], n_shards),
                 "pred": pred,
                 "obj": obj,
                 "dpred": pred.take(back),
@@ -1421,7 +1355,7 @@ def label_propagation(
         none = pa.nulls(m, pa.string())
         return pa.table(
             {
-                "shard": _key_shards(nodes.columns, n_shards),
+                "shard": key_shards(nodes.columns, n_shards),
                 "pred": nodes.column("pred"),
                 "obj": nodes.column("obj"),
                 "dpred": none,
@@ -1440,7 +1374,7 @@ def label_propagation(
         none = pa.nulls(m, pa.string())
         return pa.table(
             {
-                "shard": _key_shards([pred, obj], n_shards),
+                "shard": key_shards([pred, obj], n_shards),
                 "pred": pred,
                 "obj": obj,
                 "dpred": pred.take(back),

@@ -23,7 +23,8 @@ The protocol, stated plainly:
   pipeline.
 - The remaining rows go through ONE sampling-free exchange
   (:func:`deduce_ray.ops.agg.shard_exchange`): each unit's name hashes
-  (crc32) to one of ``n_shards = merge_shards()`` shards, the shards
+  (:func:`deduce_ray.ops.agg.key_shards`, ``crc32(unit) % n_shards``) to
+  one of ``n_shards = merge_shards()`` shards, the shards
   fall into ``min(n_shards, CPUs)`` contiguous partitions (one per CPU,
   as ``merge_shards()`` is at least 4 x CPUs), and one task per
   partition sorts its rows by unit and writes the units one after
@@ -58,14 +59,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import zlib
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
 
-from deduce_ray.ops.agg import merge_shards, per_distinct, shard_exchange
+from deduce_ray.ops.agg import key_shards, merge_shards, shard_exchange
 from deduce_ray.state.base import atomic_write_json, atomic_write_parquet
 
 MANIFESTS = "_manifests"
@@ -160,8 +160,7 @@ def commit_units(
             batch = batch.filter(
                 pc.invert(pc.is_in(batch.column(_UNIT), value_set=done))
             )
-        shard_of = per_distinct(batch.column(_UNIT), lambda u: zlib.crc32(u.encode()) % n_shards)
-        return batch.append_column(_SHARD, pa.array(shard_of))
+        return batch.append_column(_SHARD, key_shards([batch.column(_UNIT)], n_shards))
 
     def write_units(part: pa.Table) -> pa.Table:
         part = part.sort_by(_UNIT)

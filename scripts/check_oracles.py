@@ -84,6 +84,15 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
             dtype = df[col].dtype
         if dtype == object:
             df[col] = df[col].astype(str)
+            # pandas factorizes (so sorts) a string only up to its first
+            # NUL: escape NULs, injectively, so "F" and "F\x00x" sort
+            # apart the same way on both sides
+            if df[col].str.contains("\x00", regex=False).any():
+                df[col] = (
+                    df[col]
+                    .str.replace("\\", "\\\\", regex=False)
+                    .str.replace("\x00", "\\0", regex=False)
+                )
         elif np.issubdtype(dtype, np.floating):
             df[col] = df[col].round(9)
         elif np.issubdtype(dtype, np.integer):

@@ -18,6 +18,12 @@ table — values the synthetic testdata never produces but real corpora do:
   - degenerate embeddings (zero vector, +-1e20 components, -0.0)
   - exact-duplicate texts, whitespace-only and 4-space-token documents,
     one long repeated-phrase document, a negative doc_id
+  - NUL-twin group keys: a key and the same key plus ``"\\x00x"``
+    (``"R"`` / ``"R\\x00x"``) in the string columns the grouped queries
+    key on (``l_returnflag``/``l_linestatus``, ``event_type``, ``p_brand``
+    via lineitem, ``r_name`` via customer).  They are PREPENDED, so they
+    land in a null-free first block: a merge that hashes a string only up
+    to its first NUL folds the twins into one group
 
 Everything stays *within schema AND contract* (tier 1): list lengths
 match the base embedding dim, ids unique per table where an op requires
@@ -51,6 +57,8 @@ U_EMOJI = "good \U0001F600 text \U0001F680 rocket"
 U_COMBINING = "café naïve résumé"
 U_CTRL = "before\x00after\x0bvtab\x0cff"
 U_BOM = "﻿bom-prefixed text"
+# suffix that makes a key's NUL twin: equal to the key up to the NUL
+NUL_TWIN = "\x00x"
 
 
 def _append(table: pa.Table, rows: list[dict]) -> pa.Table:
@@ -61,6 +69,11 @@ def _append(table: pa.Table, rows: list[dict]) -> pa.Table:
          for n in table.column_names}
     )
     return pa.concat_tables([table, extra])
+
+
+def _prepend(table: pa.Table, rows: list[dict]) -> pa.Table:
+    """Put literal rows in FRONT of ``table`` keeping its exact schema."""
+    return pa.concat_tables([_append(table.slice(0, 0), rows), table])
 
 
 def build(out_dir: str, shape_breakers: bool = False, base: str = BASE) -> None:
@@ -167,6 +180,44 @@ def build(out_dir: str, shape_breakers: bool = False, base: str = BASE) -> None:
         # bucket on both sides, not fast-path to 7 (round-5 advice pin)
         {"event_id": 900005, "ts": 2, "user_id": 7, "event_type": "view",
          "value": 1.0, "props": '{"k": 007}'},
+    ])
+
+    # NUL twins: each key beside its base twin, in the first (null-free)
+    # block of the table the grouped query reads
+    t["region"] = _append(t["region"], [
+        {"r_regionkey": 902, "r_name": "ASIA" + NUL_TWIN},
+    ])
+    t["nation"] = _append(t["nation"], [
+        {"n_nationkey": 903, "n_name": "NUL TWIN", "n_regionkey": 902},
+    ])
+    t["customer"] = _prepend(t["customer"], [
+        {"c_custkey": 90004, "c_name": "Twin Region", "c_nationkey": 903,
+         "c_acctbal": 7.0, "c_mktsegment": "BUILDING"},
+    ])
+    t["part"] = _append(t["part"], [
+        {"p_partkey": 90004, "p_name": "twin brand", "p_brand":
+         "Brand#13" + NUL_TWIN, "p_type": "STANDARD", "p_size": 1,
+         "p_retailprice": 5.0},
+    ])
+    twin_item = {"l_orderkey": 201, "l_partkey": 101, "l_suppkey": 9,
+                 "l_quantity": 2.0, "l_extendedprice": 10.0,
+                 "l_discount": 0.0, "l_tax": 0.0,
+                 "l_shipdate": 883612800000000}  # 1998-01-01 (us)
+    t["lineitem"] = _prepend(t["lineitem"], [
+        {**twin_item, "l_linenumber": 90, "l_returnflag": "R" + NUL_TWIN,
+         "l_linestatus": "F"},
+        {**twin_item, "l_linenumber": 91, "l_returnflag": "R",
+         "l_linestatus": "F" + NUL_TWIN},
+        {**twin_item, "l_linenumber": 92, "l_partkey": 90004,
+         "l_returnflag": "A", "l_linestatus": "O"},
+    ])
+    t["events"] = _prepend(t["events"], [
+        {"event_id": 900006, "ts": 1704067200000000, "user_id": 3,
+         "event_type": "view" + NUL_TWIN, "value": 12.5, "props": "{}"},
+        {"event_id": 900007, "ts": 1704070800000000, "user_id": 4,
+         "event_type": "view" + NUL_TWIN, "value": 99.0, "props": "{}"},
+        {"event_id": 900008, "ts": 1704067200000000, "user_id": 3,
+         "event_type": "click" + NUL_TWIN, "value": 1.25, "props": "{}"},
     ])
 
     long_doc = ("lorem ipsum dolor sit amet " * 200).strip()  # 5.4k chars

@@ -8,11 +8,15 @@
 2. NULL id / NULL embedding rows crash every ANN and embedding-neardup
    path at the np.stack — now dropped per the SQL-null contract
    (drop_invalid_vector_rows), mirrored by ``IS NOT NULL`` in oracles.
-3. grouped_agg null-keyed groups: pandas groupby degrades an all-null
-   object key column to float64 NaN, which (a) leaks float NaN into a
-   string output column and (b) hashes differently from object-None in
-   hash_pandas_object — so one SQL NULL group could split across merge
-   shards.  Keys are now dtype-restored and nulls emitted as None.
+3. grouped_agg null-keyed and NUL-twin groups: its old pandas combine
+   degraded an all-null object key column to float64 NaN (a float NaN in
+   a string column, and a hash that split one SQL NULL group across
+   merge shards), and pandas hashes and groups a string only up to its
+   first NUL, so "b" and "b\x00x" folded into one group.  The combine
+   and merge are Arrow group_by calls now: a null key is one typed NULL
+   group, and keys compare by all their bytes — pinned for every agg
+   kind, a null-typed key block, and the other string-keyed aggregates
+   (canonical_entities, approx_distinct, events_value_quantiles).
 4. the integer-cents money contract: values with |v*100| beyond int64
    raise an actionable error instead of pyarrow's bare truncation
    message (DuckDB's CAST AS BIGINT refuses the same rows).
@@ -367,6 +371,136 @@ class TestGroupedAggNullKeys:
         )
         assert pd.isna(out.loc["a", "s"])
         assert out.loc["b", "s"] == 5.0
+
+
+    AGGS = {
+        "n": (None, "count"),
+        "s": ("v", "sum"),
+        "lo": ("v", "min"),
+        "hi": ("v", "max"),
+        "sq": ("v", "sum_sq"),
+    }
+
+    @staticmethod
+    def _reference(keys, values):
+        """Pure-Python GROUP BY with SQL semantics for every agg kind."""
+        groups: dict = {}
+        for k, v in zip(keys, values):
+            groups.setdefault(k, []).append(v)
+        out = {}
+        for k, vs in groups.items():
+            seen = [v for v in vs if v is not None]
+            out[k] = {
+                "n": len(vs),
+                "s": sum(seen) if seen else None,
+                "lo": min(seen) if seen else None,
+                "hi": max(seen) if seen else None,
+                "sq": sum(v * v for v in seen) if seen else None,
+            }
+        return out
+
+    def _grouped(self, ds):
+        from deduce_ray.ops.agg import grouped_agg
+
+        rows = grouped_agg(ds, keys=["k"], aggs=self.AGGS).take_all()
+        got = {r["k"]: {c: r[c] for c in self.AGGS} for r in rows}
+        assert len(got) == len(rows), f"a key came out twice: {rows}"
+        return got
+
+    @pytest.mark.parametrize("with_null", [False, True])
+    def test_nul_twin_keys_every_kind(self, ray_session, with_null):
+        """"b" and "b\x00x" are two groups, in a null-free block (where
+        pandas folded them), alone or beside a block of null keys.  The
+        first block outgrows a 65,536-row batch, so no batching can put a
+        null into every batch of it."""
+        import ray.data
+
+        reps = 12_000
+        blocks = [(["b", "b\x00x", "b", "a", "b\x00x", "b\x00y"] * reps, [1, 2, 3, 4, None, -5] * reps)]
+        if with_null:
+            blocks.append(([None, "b", None], [6, 7, None]))
+        tables = [
+            pa.table({"k": pa.array(k, type=pa.string()), "v": pa.array(v, type=pa.int64())})
+            for k, v in blocks
+        ]
+        got = self._grouped(ray.data.from_arrow(tables))
+        assert got == self._reference(
+            [k for ks, _ in blocks for k in ks], [v for _, vs in blocks for v in vs]
+        )
+
+    def test_null_typed_key_block(self, ray_session):
+        """A block whose key column arrives null-typed (a pandas upstream
+        whose block held only null keys) joins the typed NULL group."""
+        import ray.data
+
+        keys, values = ["b", "b\x00x", "b"] * 25_000, [1, 2, 3] * 25_000
+        typed = pa.table(
+            {"k": pa.array(keys, type=pa.string()), "v": pa.array(values, type=pa.int64())}
+        )
+        untyped = pa.table(
+            {"k": pa.nulls(2), "v": pa.array([4, None], type=pa.int64())}
+        )
+        assert untyped.schema.field("k").type == pa.null()
+        got = self._grouped(ray.data.from_arrow([typed, untyped]))
+        assert got == self._reference(keys + [None, None], values + [4, None])
+
+
+class TestNulTwinKeys:
+    """The other string-keyed aggregates keep NUL twins apart too."""
+
+    def test_canonical_entities(self, ray_session):
+        import ray.data
+
+        from deduce_ray.rayops.kg import canonical_entities
+
+        preds = ["persoon", "persoon", "persoon", "persoon", "locatie", None]
+        objs = ["Jan", "jan\x00X", "JAN", None, "jan\x00x", "Jan"]
+        tbl = pa.table({"pred": pa.array(preds), "obj": pa.array(objs)})
+        want: dict = {}
+        for p, o in zip(preds, objs):
+            key = (p, None if o is None else o.lower())
+            want[key] = want.get(key, 0) + 1
+        rows = canonical_entities(ray.data.from_arrow(tbl)).take_all()
+        got = {(r["pred"], r["obj_norm"]): r["n_mentions"] for r in rows}
+        assert len(got) == len(rows) and got == want
+
+    def test_approx_distinct(self, ray_session):
+        import ray.data
+
+        from deduce_ray.ops.agg import approx_distinct
+
+        rows = [{"g": "a", "v": i} for i in range(5)]
+        rows += [{"g": "a\x00x", "v": i} for i in range(3)]
+        got = approx_distinct(
+            ray.data.from_items(rows), keys=["g"], value_col="v"
+        ).take_all()
+        # small distinct counts are exact under the linear-counting range
+        assert {r["g"]: r["approx_distinct"] for r in got} == {"a": 5, "a\x00x": 3}
+
+    def test_events_value_quantiles(self, ray_session, tmp_path):
+        import duckdb
+        import pyarrow.parquet as pq
+
+        from deduce_ray.ops.relational import (
+            events_value_quantiles,
+            events_value_quantiles_sql,
+        )
+
+        types = ["view", "view\x00x", "view", "view\x00x", "view", "click", None, "click"]
+        values = [1.0, 50.0, 2.0, 60.0, None, 3.0, 4.0, 5.0]
+        pq.write_table(
+            pa.table({"event_type": pa.array(types), "value": pa.array(values)}),
+            str(tmp_path / "events.parquet"),
+        )
+        con = duckdb.connect()
+        con.execute(
+            f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')"
+        )
+        want = {r[0]: (r[1], r[2]) for r in con.execute(events_value_quantiles_sql()).fetchall()}
+        assert len(want) == 4  # DuckDB keeps the twins apart
+        rows = events_value_quantiles(str(tmp_path)).take_all()
+        got = {r["event_type"]: (r["p50"], r["p95"]) for r in rows}
+        assert len(got) == len(rows) and got == want
 
 
 class TestMoneyContract:
