@@ -151,11 +151,12 @@ def _replicated_documents_salted(
 
 
 def dup_spans_headline(sf_dir: str, num_cpus: int, replicate: int) -> dict:
-    """Substring-dedup scaling job: the (gram_hash, doc, pos) exchange +
-    two sharded groupbys over a word-salted replicated corpus — scaling
-    evidence for the constant-width all-to-all half of the dedup family
-    (kg_graph_e2e covers the (repo,lang) merge; this covers a
-    corpus-wide hash exchange whose payload is ~24 B x corpus words)."""
+    """Substring-dedup scaling job: the (gram_hash, doc, pos) exchange and
+    the doc-sharded interval exchange over a word-salted replicated
+    corpus — scaling evidence for the constant-width all-to-all half of
+    the dedup family (kg_graph_e2e covers the (repo,lang) merge; this
+    covers a corpus-wide hash exchange whose payload is ~32 B x corpus
+    words)."""
     import pyarrow.parquet as pq
 
     from deduce_ray.ops.substring import duplicated_ngram_spans

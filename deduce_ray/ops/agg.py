@@ -34,9 +34,10 @@ def merge_shards(minimum: int = 32, per_cpu: int = 4) -> int:
     CPU, at least 32, far below the old fixed 256.  For
     :func:`shard_exchange` it is only the hash space: that exchange
     merges in ``min(n_shards, CPUs)`` tasks.  For the exchanges still on
-    ``groupby("__shard").map_groups`` (the dedup, substring and
-    canonicalization shuffles) it is also the dispatch count: one pandas
-    call per shard, a fixed ~5-10 ms each, which at 256 shards dominated
+    ``groupby("__shard").map_groups`` (the near-dup expansion, the
+    dedup stores and the canonicalization shuffles) it is also the
+    dispatch count: one pandas call per shard, a fixed ~5-10 ms each,
+    which at 256 shards dominated
     small-corpus merge stages (measured: the flagship dedup merge dropped
     3.4 s -> <1 s at 4 x CPUs).  The shard keys are uniform hashes, so
     fewer shards cannot create skew; the count grows with the CPU count.  Resolved at

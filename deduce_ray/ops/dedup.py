@@ -27,8 +27,10 @@ import pyarrow.compute as pc
 
 
 def exact_dedup_groups(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Hash-partition + per-group first: one row per distinct text with the
-    surviving (minimum) id and the duplicate count."""
+    """One row per distinct text: its md5 ``content_hash``, the surviving
+    (minimum) id as ``keep_id`` and the duplicate count as ``n_dupes``,
+    on :func:`deduce_ray.ops.agg.grouped_agg`."""
+    from deduce_ray.ops.agg import grouped_agg
 
     def hash_batch(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
@@ -41,31 +43,10 @@ def exact_dedup_groups(ds, text_col: str = "text", id_col: str = "doc_id"):
             }
         )
 
-    from deduce_ray.ops.agg import merge_shards
-
-    n_shards = merge_shards()
-
-    def pick_first(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("content_hash", as_index=False).agg(
-            keep_id=(id_col, "min"), n_dupes=(id_col, "count")
-        )
-        # shard the merge shuffle: one vectorized pandas merge per shard
-        # instead of one map_groups UDF call per distinct hash
-        out["__shard"] = (
-            out["content_hash"].str.slice(0, 4).apply(int, base=16) % n_shards
-        ).astype("int64")
-        return out
-
-    hashed = ds.map_batches(hash_batch, batch_format="pyarrow")
-    # local combiner then one shuffle on the hash shard (batch_size also
-    # coalesces small upstream blocks ahead of the sort-based exchange)
-    return hashed.map_batches(
-        pick_first, batch_format="pandas", batch_size=65536
-    ).groupby("__shard").map_groups(
-        lambda df: df.drop(columns=["__shard"])
-        .groupby("content_hash", as_index=False)
-        .agg(keep_id=("keep_id", "min"), n_dupes=("n_dupes", "sum")),
-        batch_format="pandas",
+    return grouped_agg(
+        ds.map_batches(hash_batch, batch_format="pyarrow"),
+        keys=["content_hash"],
+        aggs={"keep_id": (id_col, "min"), "n_dupes": (None, "count")},
     )
 
 
@@ -226,7 +207,7 @@ def collapse_exact_dups(ds, id_col: str, keyer, loser_broadcast_max: int = 50_00
     and ``edges_ds`` holds (rep, member) rows for every collapsed member
     of a non-skipped group, or ``None`` when the input had no exact dups
     (the common case: zero extra stages downstream)."""
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     n_shards = merge_shards()
 
@@ -242,45 +223,36 @@ def collapse_exact_dups(ds, id_col: str, keyer, loser_broadcast_max: int = 50_00
             }
         )
 
-    def emit_edges(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["__h_hi", "__h_lo", id_col])
-        hi = df["__h_hi"].to_numpy()
-        lo = df["__h_lo"].to_numpy()
-        ids = df[id_col].to_numpy(dtype=np.int64)
-        skip = df["__skip"].to_numpy(dtype=bool)
-        n = len(df)
-        new_group = np.ones(n, dtype=bool)
-        if n > 1:
-            new_group[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    def emit_edges(rows: pa.Table) -> pa.Table:
+        hi, lo, ids = (_int64(rows.column(c)) for c in ("__h_hi", "__h_lo", id_col))
+        order = np.lexsort((ids, lo, hi))
+        hi, lo, ids = hi[order], lo[order], ids[order]
+        skip = rows.column("__skip").to_numpy()[order]
+        new_group = np.ones(len(ids), dtype=bool)
+        new_group[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         # index of each row's group start (arange is increasing, so the
         # running max of start indices is exactly the current group start)
-        rep_idx = np.maximum.accumulate(
-            np.where(new_group, np.arange(n), 0)
-        )
-        losers = ~new_group
+        rep_idx = np.maximum.accumulate(np.where(new_group, np.arange(len(ids)), 0))
         # duplicate-id rows with identical text (a dataset unioned with
         # itself, planted-id collisions) would otherwise emit a self edge
         # AND put the id on the loser list — _drop_ids then erases the
         # representative row too, silently removing the document from LSH.
         # Masking self-edges keeps both rows in reps_ds, the benign
         # pre-collapse behavior (downstream pair emission dedups ids).
-        losers &= ids[rep_idx] != ids
-        return pd.DataFrame(
+        losers = ~new_group & (ids[rep_idx] != ids)
+        return pa.table(
             {
                 "rep": ids[rep_idx][losers],
                 "member": ids[losers],
                 "pair_ok": ~skip[losers],
             }
-        ).astype({"rep": "int64", "member": "int64", "pair_ok": "bool"})
-
-    edges = (
-        ds.map_batches(
-            hash_rows, batch_format="pyarrow", batch_size=65536, num_cpus=0.9
         )
-        .groupby("__shard")
-        .map_groups(emit_edges, batch_format="pandas")
-        .materialize()
-    )
+
+    # one hashing call per input block, so every CPU hashes a share
+    edges = shard_exchange(
+        ds.map_batches(hash_rows, batch_format="pyarrow", batch_size=None),
+        "__shard", n_shards, emit_edges,
+    ).materialize()
 
     # every member row is a loser id; pull them in bounded sorted chunks
     # (driver peak = one chunk) exactly like dedup_survivors
@@ -1736,16 +1708,14 @@ def dedup_survivors(
     twice (hash pass + filter pass); hand this a re-readable source (a
     read_parquet pipeline), not an already-consumed iterator.
     """
-    import ray
-
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     n_shards = merge_shards()
 
     def hash_ids_only(batch: pa.Table) -> pa.Table:
         # the dedup key rides the shuffle as TWO int64s (the full 128-bit
         # md5), not the 32-char hex string — half the exchange bytes and
-        # int sorts instead of string sorts in the loser groupby
+        # int sorts instead of string sorts in the loser merge
         hi, lo = _md5_words(batch.column(text_col).to_pylist())
         return pa.table(
             {
@@ -1781,21 +1751,11 @@ def dedup_survivors(
         mask = pa.concat_arrays([pa.array([False]), same])
         return tbl.select([id_col]).filter(mask)
 
-    # batch_size coalesces many small upstream blocks before the sort
-    # exchange (hundreds of blocks x n_shards partitions of shuffle
-    # metadata is the dominant cost for these narrow rows); num_cpus=0.9
-    # breaks fusion so the coalescing cannot gate upstream granularity
-    losers = (
-        ds.map_batches(
-            hash_ids_only,
-            batch_format="pyarrow",
-            batch_size=65536,
-            num_cpus=0.9,
-        )
-        .groupby("__shard")
-        .map_groups(emit_losers, batch_format="pyarrow")
-        .materialize()
-    )
+    # one hashing call per input block, so every CPU hashes a share
+    losers = shard_exchange(
+        ds.map_batches(hash_ids_only, batch_format="pyarrow", batch_size=None),
+        "__shard", n_shards, emit_losers,
+    ).materialize()
 
     # pull loser ids in bounded chunks (driver peak = one chunk), sort
     # each, ray.put each — the worker-side filter checks every chunk

@@ -119,9 +119,9 @@ def pricing_summary(sf_dir: str):
                 "count_order": df["count_order"].astype("int64"),
             }
         )
-        return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+        return out
 
-    return agged.map_batches(finish, batch_format="pandas")
+    return _ordered(agged, finish, ["l_returnflag", "l_linestatus"])
 
 
 def pricing_summary_sql() -> str:
@@ -142,6 +142,18 @@ def pricing_summary_sql() -> str:
         GROUP BY l_returnflag, l_linestatus
         ORDER BY l_returnflag, l_linestatus
     """
+
+
+def _ordered(ds, finish, keys: list[str]):
+    """``finish`` over the whole result as one block sorted by ``keys``,
+    the query's ORDER BY.  A grouped aggregate's merge partitions each
+    hold a range of key shards, so sorting each block alone would leave
+    the result ordered only within a partition."""
+    return ds.repartition(1).map_batches(
+        lambda df: finish(df).sort_values(keys).reset_index(drop=True),
+        batch_format="pandas",
+        batch_size=None,
+    )
 
 
 def _nullable_int(col: pd.Series) -> pd.Series:
@@ -336,7 +348,7 @@ def events_by_type(sf_dir: str):
             }
         )
 
-    return per_type.map_batches(finish, batch_format="pandas")
+    return _ordered(per_type, finish, ["event_type"])
 
 
 def events_by_type_sql() -> str:
@@ -389,9 +401,9 @@ def events_hourly(sf_dir: str):
                 "sum_value": df["sum_cents"] / 100.0,
             }
         )
-        return out.sort_values(["event_type", "hour_epoch"]).reset_index(drop=True)
+        return out
 
-    return agged.map_batches(finish, batch_format="pandas")
+    return _ordered(agged, finish, ["event_type", "hour_epoch"])
 
 
 def events_hourly_sql() -> str:
@@ -462,9 +474,9 @@ def brand_volume(sf_dir: str):
         # DuckDB (int64 clean, float64+NaN when a null exists)
         df["sum_qty"] = _nullable_int(df["sum_qty"])
         df["n_items"] = df["n_items"].astype("int64")
-        return df.sort_values("p_brand").reset_index(drop=True)
+        return df
 
-    return agged.map_batches(finish, batch_format="pandas")
+    return _ordered(agged, finish, ["p_brand"])
 
 
 def brand_volume_sql() -> str:
@@ -669,9 +681,9 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30):
             df["user_id"] = df["user_id"].astype("int64")
         for col in ("n_sessions", "n_events"):
             df[col] = df[col].astype("int64")
-        return df.sort_values("user_id").reset_index(drop=True)
+        return df
 
-    return out.map_batches(finish, batch_format="pandas")
+    return _ordered(out, finish, ["user_id"])
 
 
 def user_sessions_sql(gap_minutes: int = 30) -> str:
@@ -770,9 +782,9 @@ def events_props_stats(sf_dir: str):
                 "sum_value": df["sum_cents"] / 100.0,
             }
         )
-        return out.sort_values("k_bucket").reset_index(drop=True)
+        return out
 
-    return agged.map_batches(finish, batch_format="pandas")
+    return _ordered(agged, finish, ["k_bucket"])
 
 
 def events_props_stats_sql() -> str:
@@ -851,9 +863,9 @@ def region_customers(sf_dir: str):
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["n_customers"] = df["n_customers"].astype("int64")
-        return df.sort_values("r_name").reset_index(drop=True)
+        return df
 
-    return agged.map_batches(finish, batch_format="pandas")
+    return _ordered(agged, finish, ["r_name"])
 
 
 def region_customers_sql() -> str:

@@ -18,19 +18,24 @@ This is exactly reproducible in SQL, so the ``dup_spans`` query has a
 full DuckDB oracle.
 
 Scale shape (the published distributed approximation — suffix arrays do
-not distribute; n-gram fingerprints do):
+not distribute; n-gram fingerprints do), two sampling-free exchanges
+(:func:`deduce_ray.ops.agg.shard_exchange`):
 
-- one streaming ``map_batches`` pass emits ``(gram_hash, doc_id, pos)``
-  — 24 bytes per word position, constant width, no strings on the wire;
-- ONE all-to-all exchange groups by a hash shard of the gram; within a
-  shard, duplicated grams are found with a vectorized pandas
-  ``transform('nunique')`` (no per-gram Python);
+- a ``map_batches`` pass over each input block emits
+  ``(gram_hash, doc_id, pos)`` — 24 bytes per word position, constant
+  width, no strings on the wire — tagged with a shard of the gram hash;
+- the gram exchange brings every row of a gram hash into one merge,
+  which decides each gram exactly: a hash sort, a run-length count that
+  drops grams occurring fewer than ``min_docs`` times, then a
+  (run, doc) lexsort of the rest counts distinct documents per gram (no
+  per-gram Python, no pandas);
 - the surviving hit positions (usually a small fraction of the corpus)
-  ride a second, doc-sharded exchange where intervals merge vectorized.
+  ride a second, doc-sharded exchange whose merge chains them into
+  intervals by index arithmetic over a (doc, pos) sort.
 
-The exchange payload is ~24 B x total corpus word count — the honest,
-linear cost of substring dedup; nothing is quadratic and no stage holds
-more than one shard in memory.
+The exchange payload is ~32 B x total corpus word count — the honest,
+linear cost of substring dedup; nothing is quadratic and no merge holds
+more than its partition of the grams in memory.
 
 Gram identity is a 64-bit polynomial combine of memoized md5 word
 hashes (:func:`deduce_ray.ops.dedup._word_hashes`); a collision would
@@ -42,9 +47,7 @@ for md5-64 identities).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 # single positional rolling-hash core, shared with the MinHash shingle
@@ -53,13 +56,28 @@ from deduce_ray.ops.dedup import gram_hash_array  # noqa: F401  (re-export)
 
 
 def _dense_runs(h: np.ndarray) -> np.ndarray:
-    """Dense run ids over a SORTED hash array — the single definition
-    shared by the interior (local_runs) and boundary (boundary_hits)
-    verdicts, so the run semantics can never diverge between them."""
+    """Dense run ids over a SORTED hash array."""
     run_id = np.zeros(len(h), dtype=np.int64)
     if len(h) > 1:
         run_id[1:] = np.cumsum(h[1:] != h[:-1])
     return run_id
+
+
+def _ndocs_per_run(run_id: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Distinct-doc count of each row's run, for an ascending ``run_id``:
+    one lexsort groups (run, doc) pairs, a first-occurrence mask marks
+    each distinct pair once, and a bincount over the marked runs counts
+    them."""
+    order = np.lexsort((docs, run_id))
+    r2 = run_id[order]
+    d2 = docs[order]
+    first = np.ones(len(r2), dtype=bool)
+    if len(r2) > 1:
+        first[1:] = (r2[1:] != r2[:-1]) | (d2[1:] != d2[:-1])
+    counts = np.bincount(
+        r2[first], minlength=int(run_id[-1]) + 1 if len(run_id) else 0
+    )
+    return counts[run_id]
 
 
 def _empty_spans_ds(id_col: str):
@@ -76,88 +94,6 @@ def _empty_spans_ds(id_col: str):
     )
 
 
-def _candidate_gram_hashes(
-    grams_mat, min_docs: int, cap: int
-) -> np.ndarray | None:
-    """Sorted int64 array of gram hashes whose TOTAL occurrence count
-    reaches ``min_docs`` — the exact count prefilter (superset of the
-    >= min_docs-distinct-docs grams).  Sorts only the 8-byte hash
-    column; per sorted block, interior runs are decided locally (an
-    interior hash provably lies in one block) and the <= 2 first/last
-    runs emit count partials that sum exactly across adjacent blocks.
-    Returns None (fall back to the full-width plan) when the candidate
-    set exceeds ``cap``."""
-    import logging
-
-    import ray.data
-
-    hash_only = grams_mat.select_columns(["gram_hash"])
-
-    def block_candidates(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "gram_hash": pa.array([], type=pa.int64()),
-                "cnt": pa.array([], type=pa.int64()),
-            }
-        )
-        if not batch.num_rows:
-            return empty
-        h = batch.column("gram_hash").to_numpy(zero_copy_only=False)
-        runs = _dense_runs(h)
-        counts = np.bincount(runs)
-        starts = np.zeros(len(counts), dtype=np.int64)
-        starts[1:] = np.cumsum(counts)[:-1]
-        run_hash = h[starts]
-        is_edge = np.zeros(len(counts), dtype=bool)
-        is_edge[0] = True
-        is_edge[-1] = True
-        keep = is_edge | (counts >= min_docs)
-        return pa.table(
-            {
-                "gram_hash": pa.array(run_hash[keep], type=pa.int64()),
-                "cnt": pa.array(counts[keep], type=pa.int64()),
-            }
-        )
-
-    ctx = ray.data.DataContext.get_current()
-    prev_shuffle = getattr(ctx, "use_push_based_shuffle", False)
-    ctx.use_push_based_shuffle = True
-    try:
-        cands = (
-            hash_only.sort("gram_hash")
-            .map_batches(
-                block_candidates, batch_format="pyarrow", batch_size=None
-            )
-            .materialize()
-        )
-    finally:
-        ctx.use_push_based_shuffle = prev_shuffle
-    if cands.count() > cap:
-        logging.getLogger(__name__).warning(
-            "dup_spans count prefilter: %d candidate hashes exceed the "
-            "%d cap — falling back to the full-width sort plan "
-            "(results identical, exchange wider)",
-            cands.count(), cap,
-        )
-        return None
-    h_parts, c_parts = [], []
-    for bt in cands.iter_batches(batch_format="pyarrow"):
-        if bt.num_rows:
-            h_parts.append(
-                bt.column("gram_hash").to_numpy(zero_copy_only=False)
-            )
-            c_parts.append(bt.column("cnt").to_numpy(zero_copy_only=False))
-    if not h_parts:
-        return np.empty(0, dtype=np.int64)
-    h = np.concatenate(h_parts)
-    c = np.concatenate(c_parts)
-    uniq, inv = np.unique(h, return_inverse=True)
-    totals = np.bincount(inv, weights=c.astype(np.float64))
-    # counts are exact integers well below 2^53, so the float weights
-    # in bincount lose nothing
-    return uniq[totals >= min_docs]
-
-
 def duplicated_ngram_spans(
     ds,
     n: int = 13,
@@ -165,180 +101,78 @@ def duplicated_ngram_spans(
     id_col: str = "doc_id",
     min_docs: int = 2,
     n_shards: int | None = None,
-    coalesce_rows: int = 4_000_000,
-    prefilter_candidates_max: int | None = 20_000_000,
-    prefilter_min_rows: int = 30_000_000,
 ):
     """Dataset of ``(doc_id, start_word, end_word)`` — one row per
     maximal duplicated span per document, where a span is the union of
     ``n``-word windows shared (verbatim) by >= ``min_docs`` distinct
     documents.  ``end_word`` is exclusive; positions index the
-    document's word sequence.
+    document's word sequence.  All three columns are int64, also when no
+    gram reaches ``min_docs``.
 
-    ``coalesce_rows`` sizes the pre-sort gram blocks (default ~96 MB);
-    tests shrink it to force MULTI-block sorts so the boundary-run path
-    is exercised at unit scale.
-
-    ``prefilter_candidates_max`` enables the radix-style count
-    prefilter (round-5): sort ONLY the 8-byte hash column first (one
-    third of the full row), find the hashes whose TOTAL occurrence
-    count reaches ``min_docs`` — an exact superset of the
-    duplicated-across-docs grams, since ndocs <= count — broadcast
-    them sorted, and run the full-width machinery on the filtered
-    subset only.  On a typical corpus (duplicated mass a fraction of
-    total) the expensive 24-byte exchange shrinks to the duplicated
-    mass.  When the candidate set exceeds the cap (pathological
-    everything-duplicated corpora) the op logs and falls back to the
-    classic full-width sort — the cap changes NOTHING about results,
-    only which exchange plan runs.  ``None`` disables the prefilter.
-
-    Note on execution shape: the gram sort — the engine's one LARGE
-    exchange — is executed EAGERLY inside this call (a ``materialize()``
-    the two downstream consumers share), because Ray's push-based
-    shuffle is ~8x faster on it but measurably slower on small
-    exchanges, so the flag is enabled only around that materialize.
-    The flag lives on the process-global ``DataContext``: a concurrent
-    pipeline executing in the same driver during that window would pick
-    it up too (perf, not correctness) — single-pipeline drivers, like
-    this repo's query/bench surfaces, are unaffected."""
-    from deduce_ray.ops.agg import merge_shards
+    The span set is computed eagerly inside this call (the result is
+    materialized, so its consumers never re-run the gram exchange).
+    ``n_shards`` is the hash space of both exchanges (default
+    :func:`deduce_ray.ops.agg.merge_shards`)."""
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
     from deduce_ray.ops.textstats import split_words
 
     if n_shards is None:
         n_shards = merge_shards()
 
     def emit_grams(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_pylist()
         texts = batch.column(text_col).to_pylist()
-        hash_parts, id_parts, pos_parts = [], [], []
-        for i, t in zip(ids, texts):
-            g = gram_hash_array(split_words(t or ""), n)
-            if not len(g):
-                continue
-            hash_parts.append(g.view(np.int64))
-            id_parts.append(np.full(len(g), i, dtype=np.int64))
-            pos_parts.append(np.arange(len(g), dtype=np.int64))
-        if not hash_parts:
-            return pa.table(
-                {
-                    "gram_hash": pa.array([], type=pa.int64()),
-                    id_col: pa.array([], type=pa.int64()),
-                    "pos": pa.array([], type=pa.int64()),
-                }
-            )
+        grams = [gram_hash_array(split_words(t or ""), n) for t in texts]
+        lens = np.array([len(g) for g in grams], dtype=np.int64)
+        h = np.concatenate([np.empty(0, np.uint64), *grams])
+        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
+        # a window's position is its row index minus its document's first
+        first = np.repeat(np.cumsum(lens) - lens, lens)
         return pa.table(
             {
-                "gram_hash": np.concatenate(hash_parts),
-                id_col: np.concatenate(id_parts),
-                "pos": np.concatenate(pos_parts),
+                "gram_hash": h.view(np.int64),
+                id_col: np.repeat(ids, lens),
+                "pos": np.arange(len(h), dtype=np.int64) - first,
+                "__shard": (h % np.uint64(n_shards)).astype(np.int64),
             }
         )
 
-    def _ndocs_per_run(run_id: np.ndarray, docs: np.ndarray) -> np.ndarray:
-        """Distinct-doc count per dense run id, fully vectorized: one
-        C-level lexsort groups (run, doc) pairs, a first-occurrence mask
-        marks each distinct pair once, and a bincount over marked runs
-        yields the counts.  Replaces pandas ``transform('nunique')``,
-        which hashed per group and dominated the 16-CPU leg (measured
-        at 162M gram rows: local_runs 72 s -> the lexsort path is the
-        block's sort cost only, ~6x less)."""
-        order = np.lexsort((docs, run_id))
-        r2 = run_id[order]
-        d2 = docs[order]
-        first = np.ones(len(r2), dtype=bool)
-        if len(r2) > 1:
-            first[1:] = (r2[1:] != r2[:-1]) | (d2[1:] != d2[:-1])
-        counts = np.bincount(
-            r2[first], minlength=int(run_id[-1]) + 1 if len(run_id) else 0
-        )
-        return counts[run_id]
-
-    def local_runs(batch: pa.Table) -> pa.Table:
-        """One sorted block: decide every INTERIOR hash run locally
-        (all rows of a hash strictly between the block's min and max
-        hashes are provably in this block), flag min/max-hash runs as
-        boundary — they may continue in neighbouring blocks and are
-        re-decided globally on the (tiny) boundary subset."""
-        empty = pa.table(
-            {
-                "gram_hash": pa.array([], type=pa.int64()),
-                id_col: pa.array([], type=pa.int64()),
-                "pos": pa.array([], type=pa.int64()),
-                "boundary": pa.array([], type=pa.bool_()),
-            }
-        )
-        if not batch.num_rows:
-            return empty
-        h = batch.column("gram_hash").to_numpy(zero_copy_only=False)
-        docs = batch.column(id_col).to_numpy(zero_copy_only=False)
-        pos = batch.column("pos").to_numpy(zero_copy_only=False)
-        ndocs = _ndocs_per_run(_dense_runs(h), docs)
-        boundary = (h == h[0]) | (h == h[-1])
-        keep = boundary | (ndocs >= min_docs)
+    def decide_grams(rows: pa.Table) -> pa.Table:
+        # every row of a gram hash is in this partition, so each verdict
+        # is final; only grams occurring >= min_docs times can span
+        # >= min_docs documents, so only those rows pay the (run, doc)
+        # lexsort of the distinct-doc count
+        h = rows.column("gram_hash").to_numpy()
+        docs = rows.column(id_col).to_numpy()
+        pos = rows.column("pos").to_numpy()
+        order = np.argsort(h)
+        run_id = _dense_runs(h[order])
+        frequent = np.bincount(run_id)[run_id] >= min_docs
+        cand = order[frequent]
+        hit = cand[_ndocs_per_run(run_id[frequent], docs[cand]) >= min_docs]
         return pa.table(
             {
-                "gram_hash": h[keep],
-                id_col: docs[keep],
-                "pos": pos[keep],
-                "boundary": boundary[keep],
+                id_col: docs[hit],
+                "pos": pos[hit],
+                "__shard": docs[hit] % n_shards,
             }
         )
 
-    def boundary_hits(df: pd.DataFrame) -> pa.Table:
-        # Arrow output so the union with the interior hits (Arrow
-        # blocks) keeps ONE block schema end-to-end
-        empty = pa.table(
-            {
-                id_col: pa.array([], type=pa.int64()),
-                "pos": pa.array([], type=pa.int64()),
-            }
-        )
-        if df.empty:
-            return empty
-        h = df["gram_hash"].to_numpy()
-        docs = df[id_col].to_numpy()
-        pos = df["pos"].to_numpy()
-        # same run construction + distinct count as local_runs (shared
-        # helpers): sort by hash to form dense runs first (map_groups
-        # hands the shard unsorted)
-        order = np.argsort(h, kind="mergesort")
-        h, docs, pos = h[order], docs[order], pos[order]
-        keep = _ndocs_per_run(_dense_runs(h), docs) >= min_docs
-        if not keep.any():
-            return empty
-        return pa.table({id_col: docs[keep], "pos": pos[keep]})
-
-    def merge_intervals(df: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                id_col: pa.array([], type=pa.int64()),
-                "start_word": pa.array([], type=pa.int64()),
-                "end_word": pa.array([], type=pa.int64()),
-            }
-        )
-        if df.empty:
-            return empty
-        # (doc, pos) rows are unique by construction: the emitter
-        # produces each document position exactly once, and the
-        # interior/boundary verdict paths are row-disjoint filters of
-        # that emission (boundary rows are excluded from `interior` and
-        # re-decided only in `boundary_hits`) — so no dedup before the
-        # interval merge
-        df = df.sort_values([id_col, "pos"], kind="mergesort")
-        doc = df[id_col].to_numpy()
-        pos = df["pos"].to_numpy()
-        brk = np.ones(len(df), dtype=bool)
-        if len(df) > 1:
+    def merge_intervals(rows: pa.Table) -> pa.Table:
+        # (doc, pos) rows are unique: the emitter produces each document
+        # position once and the gram verdict keeps or drops it once
+        doc = rows.column(id_col).to_numpy()
+        pos = rows.column("pos").to_numpy()
+        order = np.lexsort((pos, doc))
+        doc, pos = doc[order], pos[order]
+        brk = np.ones(len(doc), dtype=bool)
+        if len(doc) > 1:
             same_doc = doc[1:] == doc[:-1]
             chained = (pos[1:] - pos[:-1]) <= n
             brk[1:] = ~(same_doc & chained)
-        # rows are sorted by (doc, pos), so each interval is a contiguous
-        # slice: its start is the break row, its end the row before the
-        # next break — pure index arithmetic, no pandas groupby
+        # each interval is a contiguous slice of the sorted rows: its
+        # start is the break row, its end the row before the next break
         idx = np.nonzero(brk)[0]
-        last = np.empty(len(idx), dtype=np.int64)
-        last[:-1] = idx[1:] - 1
-        last[-1] = len(pos) - 1
+        last = np.append(idx[1:] - 1, len(pos) - 1)
         return pa.table(
             {
                 id_col: doc[idx],
@@ -347,134 +181,13 @@ def duplicated_ngram_spans(
             }
         )
 
-    # large batch_size COALESCES small input blocks before the sort
-    # exchange: shuffle metadata scales with the block count, and a
-    # many-tiny-blocks corpus otherwise pays tens of seconds of pure
-    # scheduling (the repo-wide pre-shuffle coalescing pattern)
-    grams = ds.map_batches(
-        emit_grams, batch_format="pyarrow", batch_size=8192, num_cpus=0.9
-    )
-
-    def coalesce(batch: pa.Table) -> pa.Table:
-        return batch
-
-    # fat gram blocks before the sort: Ray's sort spawns one reduce
-    # partition per INPUT block, and hundreds of skinny (18 MB) gram
-    # blocks make the 16-CPU exchange scheduling-bound (measured at
-    # 162M gram rows / 16 CPUs: 439 blocks sort in ~109 s streaming,
-    # the same rows in ~34 fat blocks sort in 18-27 s).  The coalescer
-    # re-batches to ``coalesce_rows`` (~96 MB default) per block; its
-    # num_cpus differs from emit_grams' so the two do NOT fuse (fusion
-    # would gate the emit stage's task granularity at the coalescer's
-    # batch_size, serializing the expensive gram hashing).
-    coalesced = grams.map_batches(
-        coalesce,
-        batch_format="pyarrow",
-        batch_size=max(int(coalesce_rows), 1),
-        num_cpus=0.8,
-    )
-    # THE exchange: one range-partitioned sort on the high-cardinality
-    # 64-bit gram hash.  A sharded-groupby formulation (hash % 4xCPUs
-    # as the key) was measured 10-20x slower at 100M rows: range
-    # partitioning degenerates on a low-cardinality key and map_groups
-    # re-sorts inside every shard; sorting the raw hash keeps partitions
-    # balanced by sampling and lets each block decide its runs locally.
-    # With the count prefilter, the full-width sort runs over the
-    # candidate subset only; the wide exchange is replaced by a
-    # hash-column-only sort plus a broadcast searchsorted filter.
-    # ``prefilter_min_rows``: below this gram count the classic one-sort
-    # plan wins — the prefilter's extra hash-column sort costs more than
-    # it saves on a small exchange (measured ~+0.1 s at the 17M-row
-    # bench corpus vs -22 s at the 63M-row stress).  The count is free:
-    # the gram table is materialized either way for the two consumers.
-    to_sort = coalesced
-    if prefilter_candidates_max:
-        import ray
-
-        grams_mat = coalesced.materialize()
-        if grams_mat.count() < prefilter_min_rows:
-            prefilter_candidates_max = None
-            to_sort = grams_mat  # already materialized: sort it directly
-    if prefilter_candidates_max:
-        cand = _candidate_gram_hashes(
-            grams_mat, min_docs, int(prefilter_candidates_max)
-        )
-        if cand is None:
-            to_sort = grams_mat  # cap exceeded: classic full-width plan
-        elif len(cand) == 0:
-            to_sort = None  # no gram reaches min_docs anywhere
-        else:
-            cand_ref = ray.put(cand)  # sorted int64, zero-copy readers
-
-            def keep_candidates(batch: pa.Table) -> pa.Table:
-                import ray as _ray
-
-                arr = _ray.get(cand_ref)
-                h = batch.column("gram_hash").to_numpy(
-                    zero_copy_only=False
-                )
-                idx = np.searchsorted(arr, h)
-                idx[idx == len(arr)] = 0
-                return batch.filter(pa.array(arr[idx] == h))
-
-            to_sort = grams_mat.map_batches(
-                keep_candidates, batch_format="pyarrow"
-            )
-    if to_sort is None:
+    # one call per input block, so every CPU hashes a share of the corpus
+    grams = ds.map_batches(emit_grams, batch_format="pyarrow", batch_size=None)
+    hits = shard_exchange(grams, "__shard", n_shards, decide_grams)
+    spans = shard_exchange(hits, "__shard", n_shards, merge_intervals).materialize()
+    if not spans.count():
+        # an exchange whose partitions are all empty carries no schema
         return _empty_spans_ds(id_col)
-    sorted_grams = to_sort.sort("gram_hash")
-    # small: global dup hits + block-boundary runs.  Materialized so the
-    # two downstream consumers do not re-execute the sort (spill-backed;
-    # bounded by duplicated mass + 2 runs per block).  The gram sort is
-    # the one LARGE exchange in this engine, and Ray's push-based
-    # shuffle is 8x faster on it (94M rows: 54 -> 6.6 s bare sort) while
-    # measurably SLOWER on the suite's many small exchanges — so it is
-    # enabled only for this materialize, which executes the sort here
-    # inside the op, and restored immediately after.
-    import ray.data
-
-    ctx = ray.data.DataContext.get_current()
-    prev_shuffle = getattr(ctx, "use_push_based_shuffle", False)
-    ctx.use_push_based_shuffle = True
-    try:
-        flagged = sorted_grams.map_batches(
-            local_runs, batch_format="pyarrow", batch_size=None
-        ).materialize()
-    finally:
-        ctx.use_push_based_shuffle = prev_shuffle
-
-    def interior(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.invert(batch.column("boundary")))
-        return t.select([id_col, "pos"])
-
-    def boundary_only(batch: pa.Table) -> pa.Table:
-        t = batch.filter(batch.column("boundary"))
-        gh = t.column("gram_hash").to_numpy(zero_copy_only=False)
-        t = t.select(["gram_hash", id_col, "pos"])
-        return t.append_column(
-            "gram_shard",
-            pa.array((gh.view(np.uint64) % n_shards).astype(np.int64)),
-        )
-
-    hits_a = flagged.map_batches(interior, batch_format="pyarrow")
-    hits_b = (
-        flagged.map_batches(boundary_only, batch_format="pyarrow")
-        .groupby("gram_shard")
-        .map_groups(boundary_hits, batch_format="pandas")
-    )
-
-    def add_doc_shard(batch: pa.Table) -> pa.Table:
-        d = batch.column(id_col).to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "doc_shard", pa.array((d % n_shards).astype(np.int64))
-        )
-
-    hits = hits_a.union(hits_b).map_batches(
-        add_doc_shard, batch_format="pyarrow"
-    )
-    spans = hits.groupby("doc_shard").map_groups(
-        merge_intervals, batch_format="pandas"
-    )
     return spans
 
 

@@ -2,12 +2,12 @@
 
 The pathological input for any LSH/all-pairs design — N documents
 sharing one verbatim header — is LINEAR here by construction: a hot
-gram contributes one (hash, doc, pos) row per occurrence, the
-shard-local nunique is a single vectorized pass, and span emission is
-one row per document.  This script proves it: 1M docs, 200k of which
-share a 40-word license header (plus unique bodies), must complete in
-about a minute on 32 CPUs (measured: 67 s, a ~63M-row gram exchange)
-and flag exactly the 200k headers.
+gram contributes one (hash, doc, pos) row per occurrence, each hash
+partition decides its grams with one sort, and span emission is one row
+per document.  This script proves it: 1M docs, 200k of which share a
+40-word license header (plus unique bodies), a ~63M-row gram exchange,
+must yield exactly one (doc, 0, 40) span per header document.  It
+prints the wall time and the driver's peak RSS.
 
 Run: python scripts/stress_dup_spans.py [n_docs] [n_dup] [num_cpus]
 """
@@ -15,6 +15,7 @@ Run: python scripts/stress_dup_spans.py [n_docs] [n_dup] [num_cpus]
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import time
 
@@ -57,14 +58,23 @@ def main() -> None:
     )
     t0 = time.time()
     spans = duplicated_ngram_spans(docs, n=13)
-    # pull only counts — the result is one span row per duplicated doc
     n_spans = spans.count()
     dt = time.time() - t0
-    assert n_spans == n_dup, f"expected {n_dup} span rows, got {n_spans}"
+    # exact: one span per header-carrying document, covering exactly the
+    # 40 header words (every window that reaches a body word is unique)
+    seen = np.zeros(n_dup, dtype=bool)
+    for b in spans.iter_batches(batch_format="pyarrow"):
+        doc = b.column("doc_id").to_numpy()
+        assert ((doc >= 0) & (doc < n_dup)).all(), "span outside the header docs"
+        assert (b.column("start_word").to_numpy() == 0).all(), "span start != 0"
+        assert (b.column("end_word").to_numpy() == 40).all(), "span end != 40"
+        seen[doc] = True
+    assert n_spans == n_dup and seen.all(), f"expected {n_dup} span rows, got {n_spans}"
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"dup_spans stress: {n_docs} docs ({n_dup} sharing a 40-word "
-        f"header) -> {n_spans} spans in {dt:.1f}s "
-        f"({n_docs / dt:.0f} docs/s)"
+        f"header) -> {n_spans} exact spans in {dt:.1f}s "
+        f"({n_docs / dt:.0f} docs/s), driver peak RSS {peak_mb:.0f} MB"
     )
     ray.shutdown()
 

@@ -1734,9 +1734,8 @@ class TestClustersAndJoins:
         oracle = con.execute(user_sessions_sql()).df()
         assert len(mine) == 2 and len(oracle) == 2
 
-        # compare keyed by user (the finish sort is per-batch, so global
-        # row order is not part of the contract — the driver's comparison
-        # is order-insensitive too)
+        # compare keyed by user: the null group's place in the order is
+        # pandas' NaN-last, not a property of the sessions
         def by_user(df):
             return {
                 (None if pd.isna(r["user_id"]) else int(r["user_id"])):
@@ -1747,6 +1746,45 @@ class TestClustersAndJoins:
         got, want = by_user(mine), by_user(oracle)
         assert got == want
         assert got[7] == (2, 3) and got[None] == (1, 2)
+
+    def test_grouped_results_in_order_by_order(self, ray_session):
+        """A grouped result spans several merge partitions, yet its rows
+        come back in the SQL ORDER BY order, not sorted per partition."""
+        import os
+
+        import duckdb
+        import pandas as pd
+
+        from deduce_ray.ops import relational as rel
+
+        sf = os.path.join(os.path.dirname(SF_DIR), "sf0.01")
+        if not os.path.isdir(sf):
+            pytest.skip("sf0.01 test data absent")
+        con = duckdb.connect()
+        for t in ("lineitem", "part", "events", "customer", "nation", "region"):
+            con.execute(
+                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
+            )
+        order_by = {
+            "pricing_summary": ["l_returnflag", "l_linestatus"],
+            "events_by_type": ["event_type"],
+            "events_hourly": ["event_type", "hour_epoch"],
+            "brand_volume": ["p_brand"],
+            "user_sessions": ["user_id"],
+            "events_props_stats": ["k_bucket"],
+            "region_customers": ["r_name"],
+        }
+
+        def key_rows(df, cols):
+            return [
+                tuple(None if pd.isna(v) else v for v in row)
+                for row in df[cols].itertuples(index=False)
+            ]
+
+        for name, cols in order_by.items():
+            mine = getattr(rel, name)(sf).to_pandas()
+            want = con.execute(getattr(rel, f"{name}_sql")()).df()
+            assert key_rows(mine, cols) == key_rows(want, cols), name
 
 
 class TestRuntimeTailoring:

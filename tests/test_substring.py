@@ -20,7 +20,7 @@ from deduce_ray.ops.substring import duplicated_ngram_spans, gram_hash_array
 def _spans(docs, n=13, min_docs=2):
     ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
     df = duplicated_ngram_spans(ds, n=n, min_docs=min_docs).to_pandas()
-    if df.empty:  # a zero-block dataset comes back schema-less
+    if df.empty:  # to_pandas of a zero-row dataset has no columns
         return pd.DataFrame(
             columns=["doc_id", "start_word", "end_word"], dtype="int64"
         )
@@ -79,13 +79,12 @@ class TestDupSpans:
         out = _spans(docs + [(4, g)], min_docs=3)
         assert sorted(out.doc_id.tolist()) == [1, 2, 4]
 
-    def test_multi_block_boundary_runs(self, ray_session):
-        """Force the sort output into MANY blocks (tiny coalesce_rows)
-        so hash runs straddle block boundaries and the boundary-run
-        re-decision path actually executes — the default ~4M-row
-        coalescer puts every unit-scale corpus in one sorted block,
-        leaving boundary_hits dead in CI otherwise.  Verified against a
-        brute-force pandas oracle over every shared n-gram."""
+    def test_many_blocks_multi_partition_exchange(self, ray_session):
+        """Many input blocks (one gram-emitting call each) feed a
+        64-shard hash space merged in one partition per CPU, so a gram's
+        rows arrive from several blocks and each merge holds many shards.
+        Verified against a brute-force pandas oracle over every shared
+        n-gram."""
         import numpy as np
 
         from deduce_ray.ops.textstats import split_words
@@ -107,7 +106,7 @@ class TestDupSpans:
         ds = ray.data.from_items(
             [{"doc_id": i, "text": t} for i, t in docs]
         ).repartition(16)
-        got = duplicated_ngram_spans(ds, n=n, min_docs=2, coalesce_rows=8)
+        got = duplicated_ngram_spans(ds, n=n, min_docs=2, n_shards=64)
         got = (
             got.to_pandas()
             .sort_values(["doc_id", "start_word"])
@@ -148,6 +147,15 @@ class TestDupSpans:
             .astype("int64")
         )
         pd.testing.assert_frame_equal(got, want)
+
+    def test_all_unique_corpus_keeps_the_span_schema(self, ray_session):
+        docs = [(i, " ".join(f"d{i}w{j}" for j in range(20))) for i in range(6)]
+        ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
+        spans = duplicated_ngram_spans(ds, n=13)
+        assert spans.count() == 0
+        schema = spans.schema()
+        assert schema.names == ["doc_id", "start_word", "end_word"]
+        assert [str(t) for t in schema.types] == ["int64"] * 3
 
     def test_gram_hash_positional(self):
         words = [f"w{i}" for i in range(10)]
