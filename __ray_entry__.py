@@ -130,10 +130,10 @@ def _q_kg_entities_sqlpreds(sf_dir: str):
 
 
 def _q_kg_entities_canonical_sqlpreds(sf_dir: str):
-    """Cross-document entity canonicalization (length-block shuffle ->
-    DL<=1 edges -> star clustering -> sharded canonical pick) restricted
-    to the SQL-decidable predicates — value-checked end-to-end against a
-    DuckDB damerau_levenshtein + recursive-closure oracle."""
+    """Cross-document entity canonicalization (form codes -> length-block
+    exchange -> DL<=1 code pairs -> driver components -> canonical pick)
+    restricted to the SQL-decidable predicates — value-checked end-to-end
+    against a DuckDB damerau_levenshtein + recursive-closure oracle."""
     from deduce_ray.oracles import SQLPRED_ENABLED
     from deduce_ray.rayops.kg import canonicalize_entities
 

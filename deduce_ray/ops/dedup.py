@@ -712,9 +712,10 @@ def _bucket_pairs(bucket: np.ndarray, ids: np.ndarray, max_bucket: int | None):
 
 def _pull(ds) -> pa.Table | None:
     """The dataset's non-empty blocks as one table on the driver, or
-    None when it has no rows."""
+    None when it has no rows.  Blocks may differ in type where one holds
+    only nulls (a null-typed column), so they concatenate permissively."""
     parts = [b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows]
-    return pa.concat_tables(parts) if parts else None
+    return pa.concat_tables(parts, promote_options="permissive") if parts else None
 
 
 def _banded_pairs(

@@ -31,12 +31,12 @@ round-6).
 
 Scale shape: training is the vocabulary-build pattern (top_terms) — a
 per-batch counting COMBINER collapses each block to its distinct pairs,
-one hash exchange on md5(w1) merges counts (a shard owns every row of
-its w1, so ctx sums are complete per shard), ``min_count`` prunes the
-pair tail at the merge.  The compiled model is a driver-bounded
-broadcast (``ray.put`` once, per-worker cache keyed on the ref) — the
-same small-side-broadcast shape as the lexicon and the ANN query
-matrix; at 100 TB set ``min_count`` so the pruned model fits worker
+one sampling-free exchange on w1's key shard merges counts in Arrow (a
+shard owns every row of its w1, so ctx sums are complete per shard),
+``min_count`` prunes the pair tail at the merge.  The compiled model is
+a driver-bounded broadcast (``ray.put`` once, per-worker cache keyed on
+the ref) — the same small-side-broadcast shape as the lexicon and the
+ANN query matrix; at 100 TB set ``min_count`` so the pruned model fits worker
 heap (pruning lowers c and ctx together, biasing scores conservatively
 toward the unseen-pair floor; documented, opt-in).  Scoring is one
 embarrassingly-parallel ``map_batches`` pass.
@@ -44,7 +44,6 @@ embarrassingly-parallel ``map_batches`` pass.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 
@@ -66,14 +65,16 @@ def train_bigram_counts(ds, text_col: str = "text", n_shards: int | None = None,
     kind 1 rows are unigram counts (``w2 == ""`` sentinel — WORD_RE can
     never produce an empty word) and exist so the model knows the exact
     vocabulary size V; kind 2 rows are adjacent-pair counts.  Both kinds
-    of one ``w1`` share a shard, so the per-shard pandas merge is
-    complete and exact.  ``min_count`` prunes BIGRAM rows below the
+    of one ``w1`` share a :func:`deduce_ray.ops.agg.key_shards` shard, so
+    each :func:`deduce_ray.ops.agg.shard_exchange` merge (an Arrow
+    ``group_by``, which keeps words that differ only after a NUL apart)
+    is complete and exact.  ``min_count`` prunes BIGRAM rows below the
     threshold at the merge (unigrams always survive — pruning vocabulary
     would silently change V and every probability).
     """
-    import pandas as pd
+    import pyarrow.compute as pc
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import key_shards, merge_shards, shard_exchange
 
     if n_shards is None:
         n_shards = merge_shards()
@@ -90,40 +91,33 @@ def train_bigram_counts(ds, text_col: str = "text", n_shards: int | None = None,
                 uni[w] = uni.get(w, 0) + 1
             for pair in zip(ws, ws[1:]):
                 bi[pair] = bi.get(pair, 0) + 1
-        kinds = [_KIND_UNIGRAM] * len(uni) + [_KIND_BIGRAM] * len(bi)
-        w1s = list(uni) + [p[0] for p in bi]
-        w2s = [""] * len(uni) + [p[1] for p in bi]
-        ns = list(uni.values()) + list(bi.values())
-        shards = [
-            int.from_bytes(hashlib.md5(w.encode()).digest()[:4], "big")
-            % n_shards
-            for w in w1s
-        ]
+        w1s = pa.array(list(uni) + [p[0] for p in bi], type=pa.string())
         return pa.table(
             {
-                "shard": pa.array(shards, type=pa.int32()),
-                "kind": pa.array(kinds, type=pa.int8()),
-                "w1": pa.array(w1s, type=pa.string()),
-                "w2": pa.array(w2s, type=pa.string()),
-                "n": pa.array(ns, type=pa.int64()),
+                "kind": pa.array(
+                    [_KIND_UNIGRAM] * len(uni) + [_KIND_BIGRAM] * len(bi), type=pa.int8()
+                ),
+                "w1": w1s,
+                "w2": pa.array([""] * len(uni) + [p[1] for p in bi], type=pa.string()),
+                "n": pa.array(list(uni.values()) + list(bi.values()), type=pa.int64()),
+                "shard": key_shards([w1s], n_shards),
             }
         )
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        merged = df.groupby(["kind", "w1", "w2"], as_index=False, sort=False).agg(
-            n=("n", "sum")
+    def merge(rows: pa.Table) -> pa.Table:
+        merged = rows.group_by(["kind", "w1", "w2"]).aggregate([("n", "sum")])
+        merged = pa.table(
+            {"kind": merged["kind"], "w1": merged["w1"], "w2": merged["w2"], "n": merged["n_sum"]}
         )
         if min_count > 1:
-            keep = (merged["kind"] == _KIND_UNIGRAM) | (merged["n"] >= min_count)
-            merged = merged[keep]
-        return merged.reset_index(drop=True)
+            keep = pc.or_(
+                pc.equal(merged["kind"], _KIND_UNIGRAM), pc.greater_equal(merged["n"], min_count)
+            )
+            merged = merged.filter(keep)
+        return merged
 
-    return (
-        ds.map_batches(count_batch, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(
-            lambda df: merge(df.drop(columns=["shard"])), batch_format="pandas"
-        )
+    return shard_exchange(
+        ds.map_batches(count_batch, batch_format="pyarrow"), "shard", n_shards, merge
     )
 
 

@@ -294,16 +294,16 @@ def top_terms(ds, k: int = 100, n_shards: int | None = None,
     """Corpus-wide term-frequency top-k — the classic vocabulary build.
 
     Scale shape: per-batch counting collapses each block to its distinct
-    terms (the combiner), ONE hash shuffle on a term shard key merges
-    counts (a shard owns every copy of its terms, so per-shard counts are
-    complete and a per-shard top-k is a valid candidate set), then a
-    single tiny group task merges <= n_shards * k candidates into the
-    exact global top-k (ties broken by term ascending).
+    terms (the combiner), one :func:`deduce_ray.ops.agg.shard_exchange`
+    on the term's :func:`deduce_ray.ops.agg.key_shards` merges counts
+    with an Arrow ``group_by`` (a partition owns every copy of its terms,
+    so its counts are complete and its top-k is a valid candidate set),
+    then one task sorts the <= partitions * k candidates with Arrow into
+    the exact global top-k (ties broken by term ascending).  Terms are
+    compared by their bytes, so two terms that differ only after a NUL
+    stay apart.
     """
-    import pandas as pd
-    import pyarrow as pa
-
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import key_shards, merge_shards, shard_exchange
 
     if n_shards is None:
         n_shards = merge_shards()
@@ -311,45 +311,29 @@ def top_terms(ds, k: int = 100, n_shards: int | None = None,
     fold = resolve_fold(casefold)
 
     def count_batch(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        counts: dict[str, int] = {}
-        for t in texts:
-            for w in split_words(fold(t or "")):
-                counts[w] = counts.get(w, 0) + 1
-        terms = list(counts)
-        shards = [
-            int.from_bytes(hashlib.md5(w.encode()).digest()[:4], "big") % n_shards
-            for w in terms
-        ]
+        counts: Counter = Counter()
+        for t in batch.column(text_col).to_pylist():
+            counts.update(split_words(fold(t or "")))
+        terms = pa.array(list(counts), type=pa.string())
         return pa.table(
             {
-                "shard": pa.array(shards, type=pa.int32()),
-                "term": pa.array(terms),
-                "n": pa.array([counts[w] for w in terms], type=pa.int64()),
+                "term": terms,
+                "n": pa.array(list(counts.values()), type=pa.int64()),
+                "shard": key_shards([terms], n_shards),
             }
         )
 
-    def shard_top(df: pd.DataFrame) -> pd.DataFrame:
-        merged = df.groupby("term", as_index=False).agg(n=("n", "sum"))
-        merged = merged.sort_values(["n", "term"], ascending=[False, True]).head(k)
-        merged["__g"] = 0
-        return merged
+    def top(rows: pa.Table) -> pa.Table:
+        return rows.sort_by([("n", "descending"), ("term", "ascending")]).slice(0, k)
 
-    def global_top(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values(["n", "term"], ascending=[False, True])
-            .head(k)
-            .drop(columns=["__g"])
-            .reset_index(drop=True)
-        )
+    def merge_counts(rows: pa.Table) -> pa.Table:
+        merged = rows.group_by("term").aggregate([("n", "sum")])
+        return top(pa.table({"term": merged["term"], "n": merged["n_sum"]}))
 
-    return (
-        ds.map_batches(count_batch, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(lambda df: shard_top(df.drop(columns=["shard"])), batch_format="pandas")
-        .groupby("__g")
-        .map_groups(global_top, batch_format="pandas")
+    merged = shard_exchange(
+        ds.map_batches(count_batch, batch_format="pyarrow"), "shard", n_shards, merge_counts
     )
+    return merged.repartition(1).map_batches(top, batch_size=None, batch_format="pyarrow")
 
 
 def doc_sample(ds, threshold_hex: str = "1a", id_col: str = "doc_id"):

@@ -30,7 +30,6 @@ and scoring is one embarrassingly-parallel ``map_batches`` pass.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 
@@ -54,9 +53,9 @@ def build_tfidf_vocab(
     idx is the term's dense-vector position, assigned in (df DESC,
     term ASC) order — deterministic across runs and cluster sizes.
     """
-    import pandas as pd
+    import pyarrow.compute as pc
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import key_shards, merge_shards, shard_exchange
 
     fold = resolve_fold(casefold)
     if vocab_size < 1:
@@ -65,49 +64,32 @@ def build_tfidf_vocab(
         n_shards = merge_shards()
 
     def df_batch(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        df: dict[str, int] = {}
-        for t in texts:
-            for w in set(split_words(fold(t or ""))):
-                df[w] = df.get(w, 0) + 1
-        terms = list(df)
-        counts = list(df.values())
+        df: Counter = Counter()
+        for t in batch.column(text_col).to_pylist():
+            df.update(set(split_words(fold(t or ""))))
         # the sentinel row carries this batch's document count so N
         # needs no second corpus pass; it shards like any term
-        terms.append(_N_SENTINEL)
-        counts.append(batch.num_rows)
-        shards = [
-            int.from_bytes(hashlib.md5(w.encode()).digest()[:4], "big")
-            % n_shards
-            for w in terms
-        ]
+        df[_N_SENTINEL] = batch.num_rows
+        terms = pa.array(list(df), type=pa.string())
         return pa.table(
             {
-                "shard": pa.array(shards, type=pa.int32()),
-                "term": pa.array(terms, type=pa.string()),
-                "df": pa.array(counts, type=pa.int64()),
+                "term": terms,
+                "df": pa.array(list(df.values()), type=pa.int64()),
+                "shard": key_shards([terms], n_shards),
             }
         )
 
-    def shard_top(df_: pd.DataFrame) -> pd.DataFrame:
-        merged = df_.groupby("term", as_index=False).agg(df=("df", "sum"))
-        sentinel = merged[merged["term"] == _N_SENTINEL]
-        top = (
-            merged[merged["term"] != _N_SENTINEL]
-            .sort_values(["df", "term"], ascending=[False, True])
-            .head(vocab_size)
-        )
-        return pd.concat([sentinel, top], ignore_index=True)
+    def shard_top(rows: pa.Table) -> pa.Table:
+        merged = rows.group_by("term").aggregate([("df", "sum")])
+        merged = pa.table({"term": merged["term"], "df": merged["df_sum"]})
+        is_n = pc.equal(merged["term"], _N_SENTINEL)
+        top = merged.filter(pc.invert(is_n)).sort_by([("df", "descending"), ("term", "ascending")])
+        return pa.concat_tables([merged.filter(is_n), top.slice(0, vocab_size)])
 
-    candidates = (
-        ds.map_batches(df_batch, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(
-            lambda df_: shard_top(df_.drop(columns=["shard"])),
-            batch_format="pandas",
-        )
+    candidates = shard_exchange(
+        ds.map_batches(df_batch, batch_format="pyarrow"), "shard", n_shards, shard_top
     )
-    rows = candidates.take_all()  # bounded: <= n_shards * (vocab_size + 1)
+    rows = candidates.take_all()  # bounded: <= partitions * (vocab_size + 1)
     n_docs = sum(r["df"] for r in rows if r["term"] == _N_SENTINEL)
     top = sorted(
         ((r["term"], r["df"]) for r in rows if r["term"] != _N_SENTINEL),

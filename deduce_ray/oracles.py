@@ -489,8 +489,9 @@ def kg_entities_canonical_sqlpreds_sql() -> str:
     cluster surface forms within Damerau-Levenshtein distance 1 via a
     recursive transitive closure, then pick each cluster's canonical
     (max mentions, ties to the lexicographically smallest form) — the
-    independent replica of rayops.kg.canonicalize_entities' length-block
-    shuffle -> DL1 edges -> star clustering -> sharded canonical pick.
+    independent replica of rayops.kg.canonicalize_entities' form codes ->
+    length-block exchange -> DL1 code pairs -> driver components ->
+    canonical pick.
 
     DuckDB's ``damerau_levenshtein`` is the unrestricted metric and the
     engine's ``within_edit_distance_one`` is OSA; at a bound of 1 the two

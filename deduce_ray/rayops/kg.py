@@ -26,7 +26,8 @@ Scale notes (north_rule):
   - Graph analytics number the (pred, obj) nodes through one exact
     Arrow dictionary (:func:`_node_codes`) and run numpy over int32
     arcs: on the driver for bounded graphs, in per-partition merges
-    otherwise.
+    otherwise.  Entity canonicalization numbers its forms the same way
+    and exchanges only its (pred, length-block) rows.
   - Materialization writes one parquet file + one manifest per partition;
     a manifest is written only after its data file, so a re-run can skip
     complete partitions (resume) and re-do partial ones idempotently.
@@ -377,19 +378,14 @@ def _node_ids(pred: pa.Array, obj: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return _form_node_ids(nodes)[codes], first
 
 
-# above this many forms in one (pred, length) block, block_edges switches
-# from the O(m^2) scan to deletion-neighborhood candidate blocking
-_SUBBLOCK_THRESHOLD = 512
-
-
 def _dl1_block_pairs(
     homes: list[str], guests: list[str]
 ) -> tuple[list[tuple[str, str]], int]:
     """DL<=1 pairs via deletion-neighborhood blocking (FastSS-style), for
     one (pred, length) block: ``homes`` are distinct same-length forms
     (length L), ``guests`` distinct forms one char SHORTER (length L-1 —
-    ``emit_blocks`` sends a form of length n to block n as home and block
-    n+1 as guest).
+    :func:`canonicalize_entities` sends a form of length n to block n as
+    home and block n+1 as guest).
 
     Completeness: equal-length strings at DL 1 (substitution, or adjacent
     transposition) share a single-deletion variant; a home/guest pair at
@@ -438,214 +434,107 @@ def _dl1_block_pairs(
     return edges, n_comparisons
 
 
-def canonicalize_entities(triples_ds, cluster_rounds: int = 8):
+_CANONICAL_SCHEMA = pa.schema(
+    [("pred", pa.string()), ("obj_norm", pa.string()), ("canonical", pa.string()),
+     ("n_mentions", pa.int64())]
+)
+
+
+def canonicalize_entities(triples_ds):
     """Cross-document entity canonicalization: per predicate, cluster
     mention surface forms whose lowercase texts are within
     Damerau-Levenshtein distance 1 (the same fuzzy rule the reference's
     per-document linker uses, applied graph-wide), and pick the most
-    frequent form as the canonical label.
+    frequent form as the canonical label, ties to the lexicographically
+    smallest.  Returns (pred, obj_norm, canonical, n_mentions).
 
-    Scale shape (a DL<=1 pair differs by at most one in length, so length
-    is an EXACT blocking key):
+    1. :func:`canonical_entities` counts the forms; the distinct forms
+       come to the driver once and :func:`_node_codes` numbers them.
+       Codes follow (pred, obj_norm) byte order, so within a predicate
+       the smallest form is the smallest code.
+    2. A DL<=1 pair differs by at most one in length, so length is an
+       exact blocking key: each form is sent to its own length block as a
+       home and to the next one as a guest, and one
+       :func:`deduce_ray.ops.agg.shard_exchange` on the (pred, block) key
+       meets every block in one merge, which runs
+       :func:`_dl1_block_pairs` on it and returns int32 code pairs.
+    3. :func:`_component_roots` labels the components on the driver, and
+       one lexsort picks each component's canonical.
 
-    1. count forms — :func:`canonical_entities` (combiner + one shuffle);
-    2. shuffle on ``(pred, length-block)``, NOT bare ``pred``: each form is
-       sent to its own length block and, as a guest, to the next one, so a
-       block task compares only same-length pairs plus (len, len+1) pairs
-       — parallelism scales with predicates x distinct lengths instead of
-       capping at the predicate count, and no task ever holds a whole
-       predicate's vocabulary;
-    3. DL<=1 edges feed :func:`deduce_ray.ops.dedup.neardup_clusters`
-       (driver union-find for small edge sets, pointer-jumping label
-       propagation at scale);
-    4. one sharded groupby on the cluster id picks the canonical form
-       (max mentions, ties to the lexicographically smallest) and labels
-       every member.
-
-    Within a block the pair check is O(m^2) over that length's vocabulary
-    up to ``_SUBBLOCK_THRESHOLD`` forms; above it, deletion-neighborhood
-    blocking (:func:`_dl1_block_pairs`) bounds per-task comparisons so a
-    multi-million-form (pred, length) vocabulary stays tractable.
-    Returns (pred, obj_norm, canonical, n_mentions).
+    A null predicate is a predicate of its own; a null form never edges
+    to anything (the DL predicate is undefined on null) and stays a
+    singleton with a null canonical.  The driver holds O(distinct forms)
+    arrays.
     """
-    import pandas as pd
+    import pyarrow.compute as pc
+    import ray
 
-    from deduce_ray.ops.dedup import neardup_clusters
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
+    from deduce_ray.ops.dedup import _pull
 
-    counted = canonical_entities(triples_ds).materialize()
+    forms = _pull(canonical_entities(triples_ds))
+    if forms is None:
+        return ray.data.from_arrow(_CANONICAL_SCHEMA.empty_table())
+    codes, nodes = _node_codes(forms.column("pred"), forms.column("obj_norm"))
+    n = nodes.num_rows
+    mentions = np.empty(n, dtype=np.int64)
+    mentions[codes] = forms.column("n_mentions").to_numpy()
 
-    def emit_blocks(batch: pa.Table) -> pa.Table:
-        preds = batch.column("pred").to_pylist()
-        forms = batch.column("obj_norm").to_pylist()
-        counts = batch.column("n_mentions").to_pylist()
-        out = {"pred": [], "block": [], "is_home": [], "obj_norm": [], "n_mentions": []}
-        for p, f, n in zip(preds, forms, counts):
-            if f is None:
-                # null forms never edge to anything (the DL predicate is
-                # undefined on null); they keep their own node id through
-                # tag_forms and come out as singleton clusters
+    code = np.flatnonzero(pc.is_valid(nodes.column("obj")).to_numpy())
+    pred, obj = (_one_array(nodes.column(c)).take(code) for c in ("pred", "obj"))
+    length = pc.utf8_length(obj).to_numpy().astype(np.int64)
+    n_shards = merge_shards()
+    rows = pa.table(
+        {
+            "pred": pa.concat_arrays([pred, pred]),
+            "block": np.concatenate([length, length + 1]),
+            "is_home": np.repeat([True, False], len(code)),
+            "code": np.concatenate([code, code]).astype(np.int32),
+            "obj": pa.concat_arrays([obj, obj]),
+        }
+    )
+    rows = rows.append_column("shard", key_shards([rows["pred"], rows["block"]], n_shards))
+
+    def block_pairs(rows: pa.Table) -> pa.Table:
+        blocks = rows.group_by(["pred", "block"], use_threads=False).aggregate(
+            [("obj", "list"), ("code", "list"), ("is_home", "list")]
+        )
+        a, b = [], []
+        for objs, obj_codes, home in zip(
+            blocks["obj_list"].to_pylist(),
+            blocks["code_list"].to_pylist(),
+            blocks["is_home_list"].to_pylist(),
+        ):
+            if len(objs) < 2:
                 continue
-            length = len(f)
-            for block, home in ((length, True), (length + 1, False)):
-                out["pred"].append(p)
-                out["block"].append(block)
-                out["is_home"].append(home)
-                out["obj_norm"].append(f)
-                out["n_mentions"].append(n)
-        return pa.table(
-            {
-                "pred": pa.array(out["pred"]),
-                "block": pa.array(out["block"], type=pa.int32()),
-                "is_home": pa.array(out["is_home"], type=pa.bool_()),
-                "obj_norm": pa.array(out["obj_norm"]),
-                "n_mentions": pa.array(out["n_mentions"], type=pa.int64()),
-            }
-        )
+            code_of = dict(zip(objs, obj_codes))
+            homes = [f for f, h in zip(objs, home) if h]
+            guests = [f for f, h in zip(objs, home) if not h]
+            for x, y in _dl1_block_pairs(homes, guests)[0]:
+                a.append(code_of[x])
+                b.append(code_of[y])
+        return pa.table({"a": pa.array(a, pa.int32()), "b": pa.array(b, pa.int32())})
 
-    def block_edges(df: pd.DataFrame) -> pd.DataFrame:
-        """Emit DL<=1 edges: home x home (same length) and home x guest
-        (adjacent length).  Each unordered pair lands in exactly one block."""
-        from deduce_ray.matching import within_edit_distance_one
-
-        pred = df["pred"].iloc[0]
-        homes = df[df["is_home"]]["obj_norm"].drop_duplicates().tolist()
-        guests = df[~df["is_home"]]["obj_norm"].drop_duplicates().tolist()
-        if len(homes) + len(guests) > _SUBBLOCK_THRESHOLD:
-            # mega-block: deletion-neighborhood candidate blocking bounds
-            # the comparison count (the O(m^2) scan below would not)
-            edges, _ = _dl1_block_pairs(homes, guests)
-        else:
-            edges = []
-            for i in range(len(homes)):
-                for j in range(i + 1, len(homes)):
-                    if within_edit_distance_one(homes[i], homes[j]):
-                        edges.append((homes[i], homes[j]))
-                for g in guests:
-                    if within_edit_distance_one(homes[i], g):
-                        edges.append((homes[i], g))
-        return pd.DataFrame(
+    pairs = _pull(shard_exchange(ray.data.from_arrow(rows), "shard", n_shards, block_pairs))
+    if pairs is None:
+        root = np.arange(n)
+    else:
+        root = _component_roots(pairs["a"].to_numpy(), pairs["b"].to_numpy(), n)
+    # each component's canonical: the most mentions, then the smallest code
+    order = np.lexsort((np.arange(n), -mentions, root))
+    lead = order[np.r_[True, root[order][1:] != root[order][:-1]]]
+    best = np.empty(n, dtype=np.int64)
+    best[root[lead]] = lead
+    return ray.data.from_arrow(
+        pa.table(
             {
-                "id_a": [_form_node_id(pred, a) for a, _ in edges],
-                "id_b": [_form_node_id(pred, b) for _, b in edges],
+                "pred": nodes.column("pred"),
+                "obj_norm": nodes.column("obj"),
+                "canonical": nodes.column("obj").take(best[root]),
+                "n_mentions": mentions,
             },
-            dtype="int64",
+            schema=_CANONICAL_SCHEMA,
         )
-
-    edges = (
-        counted.map_batches(emit_blocks, batch_format="pyarrow")
-        .groupby(["pred", "block"])
-        .map_groups(block_edges, batch_format="pandas")
-    )
-    labels = neardup_clusters(edges, rounds=cluster_rounds)
-
-    # attach cluster ids to forms (forms without an edge keep their own
-    # node id), then pick canonicals inside a sharded cluster groupby
-    # (cpus-aware pow2 count — map_groups dispatches one pandas call per
-    # shard, a fixed cost that dominated at the old fixed 1024)
-    from deduce_ray.ops.agg import merge_shards_pow2
-
-    n_shards = merge_shards_pow2()
-
-    def tag_forms(batch: pa.Table) -> pa.Table:
-        preds = batch.column("pred").to_pylist()
-        forms = batch.column("obj_norm").to_pylist()
-        node = [_form_node_id(p, f) for p, f in zip(preds, forms)]
-        return pa.table(
-            {
-                "node": pa.array(node, type=pa.int64()),
-                "pred": batch.column("pred"),
-                "obj_norm": batch.column("obj_norm"),
-                "n_mentions": batch.column("n_mentions"),
-                # sentinel -1, NOT null: Ray's arrow->pandas conversion
-                # widens int64-with-nulls to float64, which would round the
-                # 63-bit cluster/node ids (53-bit mantissa)
-                "cluster": pa.array([-1] * batch.num_rows, type=pa.int64()),
-            }
-        )
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "node": batch.column("doc_id"),
-                "pred": pa.nulls(n, type=pa.string()),
-                "obj_norm": pa.nulls(n, type=pa.string()),
-                "n_mentions": pa.array([-1] * n, type=pa.int64()),
-                "cluster": batch.column("cluster_id"),
-            }
-        )
-
-    def add_node_shard(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        shard = pc.cast(
-            pc.bit_wise_and(batch.column("node"), n_shards - 1), pa.int64()
-        )
-        return batch.append_column("node_shard", shard)
-
-    tagged = (
-        counted.map_batches(tag_forms, batch_format="pyarrow")
-        .union(labels.map_batches(tag_labels, batch_format="pyarrow"))
-        .map_batches(add_node_shard, batch_format="pyarrow")
-    )
-
-    # sharded + vectorized label attach (one pandas merge per shard, not
-    # one map_groups UDF call per distinct surface form)
-    def resolve_shard(df: pd.DataFrame) -> pd.DataFrame:
-        label_rows = (
-            df[df["cluster"] >= 0]
-            .groupby("node", as_index=False)
-            .agg(cluster=("cluster", "min"))
-        )
-        # form rows carry n_mentions >= 0, label rows the -1 sentinel —
-        # selecting on obj_norm.notna() would silently drop null-form
-        # rows (which are legitimate singleton entities)
-        forms = df[df["n_mentions"] >= 0][
-            ["node", "pred", "obj_norm", "n_mentions"]
-        ]
-        # INNER merge + explicit miss set: a left merge would widen the
-        # cluster column to float64 on any unlabeled form and round the ids
-        inner = forms.merge(label_rows, on="node")
-        miss = forms[~forms["node"].isin(label_rows["node"])].copy()
-        miss["cluster"] = miss["node"]
-        out = pd.concat([inner, miss], ignore_index=True)
-        out["cluster"] = out["cluster"].astype("int64")
-        out["cluster_shard"] = (out["cluster"] % n_shards).astype("int64")
-        return out[["pred", "obj_norm", "n_mentions", "cluster", "cluster_shard"]]
-
-    clustered = tagged.groupby("node_shard").map_groups(
-        lambda df: resolve_shard(df.drop(columns=["node_shard"])),
-        batch_format="pandas",
-    )
-
-    def pick_canonical(df: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized: one global sort + drop_duplicates picks each
-        cluster's canonical (max mentions, ties to the lexicographically
-        smallest form), one merge labels the members — no per-cluster
-        pandas loop (a shard can hold hundreds of thousands of singleton
-        clusters)."""
-        if df.empty:
-            return pd.DataFrame(
-                {
-                    "pred": pd.Series(dtype="object"),
-                    "obj_norm": pd.Series(dtype="object"),
-                    "canonical": pd.Series(dtype="object"),
-                    "n_mentions": pd.Series(dtype="int64"),
-                }
-            )
-        best = (
-            df.sort_values(
-                ["cluster", "n_mentions", "obj_norm"],
-                ascending=[True, False, True],
-            )
-            .drop_duplicates("cluster")[["cluster", "obj_norm"]]
-            .rename(columns={"obj_norm": "canonical"})
-        )
-        out = df.merge(best, on="cluster")
-        return out[["pred", "obj_norm", "canonical", "n_mentions"]]
-
-    return clustered.groupby("cluster_shard").map_groups(
-        pick_canonical, batch_format="pandas"
     )
 
 

@@ -270,3 +270,40 @@ class TestNullTextDedup:
         # null and "" share one group of 2; "same" groups; 3 groups total
         assert _run("exact_dedup", str(tmp_path), con) == 3
         assert _run("dedup_survivors", str(tmp_path), con) == 3
+
+
+class TestNulTwinText:
+    """Words that differ only after a NUL byte (WORD_RE splits on
+    whitespace only, so a word may hold one) stay apart in the text-op
+    merges, also when one shard holds both twins."""
+
+    @staticmethod
+    def _docs():
+        return ray.data.from_items(
+            [{"doc_id": 1, "text": "ab ab ab"}, {"doc_id": 2, "text": "ab\x009 ab\x009"}]
+        )
+
+    def test_top_terms(self, ray_session):
+        from deduce_ray.ops.textstats import top_terms
+
+        got = [(r["term"], r["n"]) for r in top_terms(self._docs(), n_shards=1).take_all()]
+        assert got == [("ab", 3), ("ab\x009", 2)]
+
+    def test_tfidf_vocab(self, ray_session):
+        from deduce_ray.ops.vectorize import build_tfidf_vocab
+
+        vocab = build_tfidf_vocab(self._docs(), n_shards=1)
+        assert vocab["n_docs"] == 2
+        assert list(vocab["terms"]) == ["ab", "ab\x009"]
+
+    def test_bigram_counts(self, ray_session):
+        from deduce_ray.ops.lm import train_bigram_counts
+
+        rows = train_bigram_counts(self._docs(), n_shards=1).take_all()
+        got = sorted((r["kind"], r["w1"], r["w2"], r["n"]) for r in rows)
+        assert got == [
+            (1, "ab", "", 3),
+            (1, "ab\x009", "", 2),
+            (2, "ab", "ab", 2),
+            (2, "ab\x009", "ab\x009", 1),
+        ]

@@ -2908,46 +2908,125 @@ class TestEntityCanonicalization:
         assert n_comp < 500_000  # vs ~50M for the full scan
         assert edges == [] or len(edges) < 50  # random 16^12 space: none
 
-    def test_canonicalize_uses_subblocker_same_result(
-        self, ray_session, monkeypatch
-    ):
-        """Forcing the mega-block path (threshold 0) must not change
-        canonicalization output."""
+    def test_canonicalize_matches_brute_force(self, ray_session):
+        """canonicalize_entities equals a pure-Python reference on a
+        seeded random vocabulary over two predicates: every pair checked
+        with within_edit_distance_one, union-find closure, then the
+        canonical pick (most mentions, ties to the smallest form)."""
+        import random
+
         import ray.data
 
-        import deduce_ray.rayops.kg as kg
+        from deduce_ray.matching import within_edit_distance_one
+        from deduce_ray.rayops.kg import canonicalize_entities
 
-        rows = []
-        for i, (obj, n) in enumerate(
-            [("Ommen", 3), ("Emmen", 1), ("Haarlem", 2), ("Haarlemm", 1)]
-        ):
-            for j in range(n):
-                rows.append(
-                    {
-                        "doc_id": f"d{i}_{j}",
-                        "repo": "org/r",
-                        "path": "p",
-                        "commit": "c",
-                        "lang": "nl",
-                        "pred": "locatie",
-                        "obj": obj,
-                        "start_char": 0,
-                        "end_char": len(obj),
-                        "entity_id": "LOCATIE-1",
-                    }
-                )
+        rng = random.Random(5)
+        counts: dict = {}
+        while len(counts) < 300:
+            pred = rng.choice(["locatie", "persoon"])
+            form = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 5)))
+            counts[(pred, form)] = rng.randint(1, 4)
+        rows = [
+            _canon_row(f"d{i}_{j}", pred, form)
+            for i, ((pred, form), n) in enumerate(counts.items())
+            for j in range(n)
+        ]
 
-        def run():
-            out = kg.canonicalize_entities(
-                ray.data.from_items(rows)
-            ).to_pandas()
-            return sorted(
-                zip(out["pred"], out["obj_norm"], out["canonical"], out["n_mentions"])
-            )
+        parent = {key: key for key in counts}
 
-        base = run()
-        monkeypatch.setattr(kg, "_SUBBLOCK_THRESHOLD", 0)
-        assert run() == base
+        def find(key):
+            while parent[key] != key:
+                parent[key] = parent[parent[key]]
+                key = parent[key]
+            return key
+
+        keys = sorted(counts)
+        for i, x in enumerate(keys):
+            for y in keys[i + 1 :]:
+                if x[0] == y[0] and within_edit_distance_one(x[1], y[1]):
+                    parent[find(x)] = find(y)
+        best: dict = {}
+        for key in keys:
+            root = find(key)
+            if root not in best or counts[key] > counts[best[root]]:
+                best[root] = key  # keys ascend, so ties keep the smallest
+        want = sorted(
+            (pred, form, best[find((pred, form))][1], counts[(pred, form)])
+            for pred, form in keys
+        )
+
+        out = canonicalize_entities(ray.data.from_items(rows)).to_pandas()
+        got = sorted(
+            zip(out["pred"], out["obj_norm"], out["canonical"], out["n_mentions"])
+        )
+        assert got == want
+        assert sum(1 for row in want if row[1] != row[2]) > 50
+
+    def test_edge_forms(self, ray_session):
+        """Pinned edge cases: the empty form chains to NUL-suffixed forms
+        at DL<=1, a NUL twin two edits away stays apart, a mention tie goes
+        to the smaller form, and a null form stays a null singleton."""
+        import ray.data
+
+        from deduce_ray.rayops.kg import canonicalize_entities
+
+        forms = [("", 1), ("a", 1), ("ab", 1), ("ab\x00", 1), ("jan", 2),
+                 ("jan\x00x", 2), ("piet", 1), ("pieta", 1), (None, 1)]
+        rows = [
+            _canon_row(f"d{i}_{j}", "locatie", form)
+            for i, (form, n) in enumerate(forms)
+            for j in range(n)
+        ]
+        out = canonicalize_entities(ray.data.from_items(rows)).to_pandas()
+        assert len(out) == len(forms)
+        got = {
+            row.obj_norm: (row.canonical, row.n_mentions)
+            for row in out.itertuples()
+            if row.obj_norm is not None
+        }
+        assert got == {
+            "": ("", 1),
+            "a": ("", 1),
+            "ab": ("", 1),
+            "ab\x00": ("", 1),
+            "jan": ("jan", 2),
+            "jan\x00x": ("jan\x00x", 2),
+            "piet": ("piet", 1),
+            "pieta": ("piet", 1),
+        }
+        null_rows = out[out["obj_norm"].isna()]
+        assert len(null_rows) == 1 and null_rows["canonical"].isna().all()
+
+    def test_null_pred_is_a_predicate(self, ray_session):
+        """A null predicate clusters its forms like any other predicate
+        and never merges with a named one."""
+        import ray.data
+
+        from deduce_ray.rayops.kg import canonicalize_entities
+
+        rows = [
+            _canon_row("d0", None, "Ommen"),
+            _canon_row("d1", None, "Ommen"),
+            _canon_row("d2", None, "Emmen"),
+            _canon_row("d3", "locatie", "Emmen"),
+        ]
+        out = canonicalize_entities(ray.data.from_items(rows)).to_pandas()
+        got = sorted(
+            (row.pred, row.obj_norm, row.canonical, row.n_mentions)
+            for row in out.itertuples()
+            if row.pred is None
+        )
+        assert got == [(None, "emmen", "ommen", 1), (None, "ommen", "ommen", 2)]
+        named = out[out["pred"] == "locatie"]
+        assert named["canonical"].tolist() == ["emmen"]
+
+
+def _canon_row(doc_id, pred, obj):
+    return {
+        "doc_id": doc_id, "repo": "org/r", "path": "p", "commit": "c",
+        "lang": "nl", "pred": pred, "obj": obj, "start_char": 0,
+        "end_char": len(obj or ""), "entity_id": "X",
+    }
 
 
 class TestTimeBudgetStage:
