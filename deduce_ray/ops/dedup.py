@@ -17,7 +17,6 @@ import functools
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -318,6 +317,62 @@ def _vector_collapse_keyer(vec_col: str):
     return keyer
 
 
+# collapse edges and intra-group pairs up to which _expand_dup_pairs
+# expands against a broadcast edge table; above either, in two exchanges
+_EXPAND_DRIVER_EDGES = 1_000_000
+_EXPAND_DRIVER_INTRA = 5_000_000
+
+
+def _dup_groups(rep: np.ndarray, member: np.ndarray):
+    """The distinct ``(rep, member)`` collapse edges sorted by rep, then
+    member, without self edges (duplicate-id input rows repeat an edge),
+    and each group's ``(starts, sizes)`` run in them."""
+    order, first = _first_rows([member, rep])
+    rep, member = rep[order[first]], member[order[first]]
+    keep = rep != member
+    rep, member = rep[keep], member[keep]
+    return (rep, member, *_runs(rep))
+
+
+def _intra_counts(sizes: np.ndarray, expand_cap: int | None):
+    """Per dup group of ``sizes`` members: its clique's pair count, and
+    whether that exceeds ``expand_cap`` (the group then emits a star)."""
+    full = (sizes + 1) * sizes // 2
+    return full, (full > expand_cap) if expand_cap is not None else np.zeros(len(sizes), dtype=bool)
+
+
+def _intra_pairs(rep, member, starts, sizes, full, star):
+    """The intra kernel: each dup group's ``(id_a < id_b)`` pairs over its
+    rep and members, as :func:`_bucket_pairs`' triu expansion, or its
+    ``(rep, member)`` star where ``star`` is set; plus the pairs the
+    stars drop."""
+    on_star = np.repeat(star, sizes)
+    clique = rep[starts[~star]]
+    a, b, _, _ = _bucket_pairs(
+        np.r_[rep[~on_star], clique], np.r_[member[~on_star], clique], None
+    )
+    return np.r_[a, rep[on_star]], np.r_[b, member[on_star]], int((full - sizes)[star].sum())
+
+
+def _expand_side(rep, member, expand_cap, key, other, value):
+    """The cross kernel: each row ``(key, other, value)``, then one
+    ``(member, other, value)`` per member of ``key``'s dup group, from
+    ``searchsorted`` ranges into the rep-sorted edges and ``np.repeat``.
+    A group of more than ``expand_cap`` ids does not expand.  Also
+    returns each row's group size and expanded count."""
+    lo = np.searchsorted(rep, key)
+    full = np.searchsorted(rep, key, "right") - lo
+    kept = full if expand_cap is None else np.where(full + 1 > expand_cap, 0, full)
+    idx = np.repeat(lo - (np.cumsum(kept) - kept), kept) + np.arange(kept.sum())
+    return (
+        np.r_[key, member[idx]],
+        np.r_[other, np.repeat(other, kept)],
+        np.r_[value, np.repeat(value, kept)],
+        full,
+        kept,
+    )
+
+
 def _expand_dup_pairs(
     rep_pairs,
     edges_ds,
@@ -329,325 +384,159 @@ def _expand_dup_pairs(
     """Expand representative-level verified pairs through exact-dup groups.
 
     Emits (a) intra-group pairs at ``intra_value`` for every collapsed
-    group — always above threshold by construction — and (b) each rep
-    pair replicated across the member sets of both endpoints (members
-    share the rep's signature/vector, so the verified value transfers
-    exactly).  Groups whose expansion would exceed ``expand_cap`` pairs
-    degrade to a star around the representative (connectivity and
-    dup-flagging preserved; exact dropped-pair count logged — an
-    output-size cap, not a candidate-generation one).  Off (None) by
-    default, matching ``max_bucket``: every output-changing cap is
-    opt-in so the oracle-checked configurations stay exact; scale runs
-    over mass-duplicated corpora should pass a cap (the stress harness
-    uses 8192).
+    group, always above threshold by construction, and (b) each rep pair
+    replicated across the member sets of both endpoints (members share
+    the rep's signature/vector, so the verified value transfers exactly).
+    ``expand_cap`` (off by default, like ``max_bucket``: every
+    output-changing cap is opt-in so the oracle-checked configurations
+    stay exact; the stress harness uses 8192) bounds the output: a group
+    whose clique exceeds ``expand_cap`` pairs emits a star around its
+    representative, and a group of more than ``expand_cap`` ids does not
+    expand the cross pairs (connectivity and dup-flagging preserved).
+    The exact dropped-pair total is logged once, on the driver.
 
-    Safe for the full signed int64 id range: the join stages carry an
-    explicit ``is_edge`` discriminator column, and the -1 values in the
-    unused member/other slots are plain fills, never tested.
+    Two kernels over the distinct rep-sorted edges (:func:`_dup_groups`):
+    :func:`_intra_pairs` and :func:`_expand_side`, run once per side.
+    Up to ``_EXPAND_DRIVER_EDGES`` edges and ``_EXPAND_DRIVER_INTRA``
+    intra pairs (the common corpus: a handful of exact dups) the edges
+    come to the driver, which emits the intra pairs and broadcasts the
+    edge table to one ``map_batches`` over the rep pairs.  Above either,
+    two :func:`deduce_ray.ops.agg.shard_exchange` passes meet the edges
+    with the pairs, by ``id_a`` shard and then by ``id_b`` shard; the
+    second also emits the intra pairs.  The rows carry an explicit int8
+    ``kind``, so every signed int64 id is a plain id."""
+    import logging
 
-    Two physical plans: a DRIVER fast path when the edge list and the
-    intra-pair output are both small (the common corpus: a handful of
-    exact dups), replacing the 3-exchange distributed expansion with one
-    shuffle-free map_batches against a broadcast edge table (measured:
-    ~1-2 s of pure fixed groupby overhead per LSH query at sf0.1 with 8
-    edges); and the sharded distributed path for mass-duplicated inputs."""
+    import ray
     import ray.data
 
-    from deduce_ray.ops.agg import merge_shards
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
 
     if edges_ds is None:
         return rep_pairs
-    n_shards = merge_shards()
+    value_type = pa.from_numpy_dtype(np.dtype(value_dtype))
 
-    def intra_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        import logging
+    def values(col) -> np.ndarray:
+        return col.to_numpy().astype(value_dtype, copy=False)
 
-        parts: list[pd.DataFrame] = []
-        dropped = 0
-        for rep, grp in df.groupby("rep"):
-            # unique members excluding the rep: duplicate-id input rows
-            # produce repeated (rep, member) edges, which would otherwise
-            # expand into self pairs (member, member)
-            uniq = np.unique(grp["member"].to_numpy(dtype=np.int64))
-            members = np.concatenate(
-                [
-                    np.asarray([rep], dtype=np.int64),
-                    uniq[uniq != rep],
-                ]
-            )
-            m = len(members)
-            npairs = m * (m - 1) // 2
-            if expand_cap is not None and npairs > expand_cap:
-                dropped += npairs - (m - 1)
-                ia = np.zeros(m - 1, dtype=np.int64)
-                ib = np.arange(1, m, dtype=np.int64)
-            else:
-                ia, ib = np.triu_indices(m, k=1)
-            parts.append(
-                pd.DataFrame({"id_a": members[ia], "id_b": members[ib]})
-            )
+    def pair_table(a, b, vals, dropped: int) -> pa.Table:
+        # with a cap, kind 0 marks the pairs and one kind-1 row carries
+        # the call's dropped-pair count in id_a
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        cols = {"id_a": lo, "id_b": hi, value_col: pa.array(vals, type=value_type)}
+        if expand_cap is not None:
+            kind = np.zeros(len(lo), dtype=np.int8)
+            if dropped:
+                lo, hi, vals, kind = np.r_[lo, dropped], np.r_[hi, 0], np.r_[vals, 0], np.r_[kind, np.int8(1)]
+            cols = {"id_a": lo, "id_b": hi, value_col: pa.array(vals, type=value_type), "kind": kind}
+        return pa.table(cols)
+
+    def intra(rep, member, starts, sizes) -> tuple:
+        a, b, dropped = _intra_pairs(rep, member, starts, sizes, *_intra_counts(sizes, expand_cap))
+        return a, b, np.full(len(a), intra_value, dtype=value_dtype), dropped
+
+    def logged(out):
+        if expand_cap is None:
+            return out
+        out = out.materialize()
+        stats = _pull(out.map_batches(lambda t: t.filter(pc.equal(t.column("kind"), 1)), batch_format="pyarrow"))
+        dropped = pc.sum(stats.column("id_a")).as_py() if stats else 0
         if dropped:
             logging.getLogger(__name__).warning(
-                "_expand_dup_pairs: intra-group expansion capped at "
-                "expand_cap=%d; emitted star pairs instead, dropping %d "
-                "pair(s) (all at the intra value — connectivity preserved)",
+                "_expand_dup_pairs: expand_cap=%d dropped %d expanded pair(s) "
+                "(larger groups emit a star and skip the cross expansion; "
+                "connectivity preserved)",
                 expand_cap,
                 dropped,
             )
-        out = pd.concat(parts, ignore_index=True)
-        out[value_col] = intra_value
-        return out.astype(
-            {"id_a": "int64", "id_b": "int64", value_col: value_dtype}
+        return out.map_batches(
+            lambda t: t.filter(pc.equal(t.column("kind"), 0)).drop_columns(["kind"]),
+            batch_format="pyarrow",
         )
 
-    # ----- driver fast path: small edge set AND bounded intra output.
-    # edges_ds is materialized by collapse_exact_dups, so count() is free.
-    n_edges = edges_ds.count()
-    if n_edges <= 1_000_000:
-        import ray
+    # edges_ds is materialized by collapse_exact_dups, so count() is free
+    if edges_ds.count() <= _EXPAND_DRIVER_EDGES:
+        got = _pull(edges_ds)
+        groups = _dup_groups(_int64(got.column("rep")), _int64(got.column("member")))
+        full, star = _intra_counts(groups[3], expand_cap)
+        if np.where(star, groups[3], full).sum() <= _EXPAND_DRIVER_INTRA:
+            rep, member = groups[:2]
+            intra_table = pair_table(*intra(*groups))
+            edges_ref = ray.put((rep, member))
 
-        frames = [
-            b.to_pandas()
-            for b in edges_ds.iter_batches(batch_format="pyarrow")
-            if b.num_rows
-        ]
-        edges_df = (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame({"rep": [], "member": []})
-        ).drop_duplicates()
-        edges_df = edges_df[edges_df["rep"] != edges_df["member"]]
-        sizes = edges_df.groupby("rep").size() if len(edges_df) else pd.Series(dtype="int64")
-        m_plus = sizes + 1
-        full = (m_plus * (m_plus - 1)) // 2
-        if expand_cap is not None:
-            intra_total = int(np.where(full > expand_cap, m_plus - 1, full).sum())
-        else:
-            intra_total = int(full.sum())
-        if intra_total <= 5_000_000:
-            intra_df = intra_pairs(edges_df) if len(edges_df) else pd.DataFrame(
-                {"id_a": [], "id_b": [], value_col: []}
-            )
-            intra_tbl = pa.table(
-                {
-                    "id_a": pa.array(
-                        intra_df["id_a"].to_numpy(dtype=np.int64), type=pa.int64()
-                    ),
-                    "id_b": pa.array(
-                        intra_df["id_b"].to_numpy(dtype=np.int64), type=pa.int64()
-                    ),
-                    value_col: pa.array(
-                        intra_df[value_col].to_numpy(dtype=value_dtype)
-                    ),
-                }
-            )
-            exp = edges_df
-            if expand_cap is not None and len(sizes):
-                big = sizes[m_plus > expand_cap]
-                if len(big):
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "_expand_dup_pairs (driver path): cross expansion "
-                        "capped at expand_cap=%d members/side for %d "
-                        "group(s) (rep-level pairs kept; intra stars keep "
-                        "every member connected)",
-                        expand_cap,
-                        len(big),
-                    )
-                    exp = exp[~exp["rep"].isin(big.index)]
-            exp_ref = ray.put(exp.reset_index(drop=True))
-
-            def expand_batch(df: pd.DataFrame) -> pa.Table:
-                e = ray.get(exp_ref)
-                cols = list(df.columns)
-                out = df
-                if len(e) and len(df):
-                    a = df.merge(e, left_on="id_a", right_on="rep")
-                    if len(a):
-                        a["id_a"] = a["member"]
-                    s1 = pd.concat([df, a[cols]], ignore_index=True)
-                    b = s1.merge(e, left_on="id_b", right_on="rep")
-                    if len(b):
-                        b["id_b"] = b["member"]
-                    out = pd.concat([s1, b[cols]], ignore_index=True)
-                # same ordering rule as the distributed finish step:
-                # member ids interleave across groups, restore id_a < id_b
-                ia = out["id_a"].to_numpy(dtype=np.int64)
-                ib = out["id_b"].to_numpy(dtype=np.int64)
-                return pa.table(
-                    {
-                        "id_a": pa.array(np.minimum(ia, ib), type=pa.int64()),
-                        "id_b": pa.array(np.maximum(ia, ib), type=pa.int64()),
-                        value_col: pa.array(
-                            out[value_col].to_numpy(dtype=value_dtype)
-                        ),
-                    }
+            def expand(batch: pa.Table) -> pa.Table:
+                rep, member = ray.get(edges_ref)
+                a, b = _int64(batch.column("id_a")), _int64(batch.column("id_b"))
+                a, b, v, full_a, kept_a = _expand_side(
+                    rep, member, expand_cap, a, b, values(batch.column(value_col))
                 )
+                b, a, v, full_b, kept_b = _expand_side(rep, member, expand_cap, b, a, v)
+                # a member side a skipped would have met b and b's group;
+                # the rows' first len(kept_a) are the input pairs
+                dropped = (full_a - kept_a) @ (1 + full_b[: len(kept_a)]) + (full_b - kept_b).sum()
+                return pair_table(a, b, v, int(dropped))
 
-            cross_fast = rep_pairs.map_batches(
-                expand_batch, batch_format="pandas"
-            )
-            return cross_fast.union(ray.data.from_arrow(intra_tbl))
+            cross = rep_pairs.map_batches(expand, batch_format="pyarrow")
+            return logged(cross.union(ray.data.from_arrow(intra_table)))
 
-    def _add_rep_shard(t: pa.Table) -> pa.Table:
-        rep = t.column("rep").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "__shard", pa.array(rep % n_shards, type=pa.int64())
-        )
+    n_shards = merge_shards()
 
-    edge_shard = edges_ds.map_batches(_add_rep_shard, batch_format="pyarrow")
-    # emit ARROW blocks: this dataset is unioned with the arrow-block
-    # `cross` below, and a union of pandas + arrow blocks crashes any
-    # downstream iter_batches whose batch window spans the type boundary
-    # (ray.data DelegatingBlockBuilder asserts one block type per batch)
-    intra = edge_shard.groupby("__shard").map_groups(
-        lambda df: pa.Table.from_pandas(
-            intra_pairs(df.drop(columns=["__shard"])), preserve_index=False
-        ),
-        batch_format="pandas",
-    )
-
-    def _tag_edges(t: pa.Table) -> pa.Table:
-        rep = t.column("rep").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = t.num_rows
+    def rows(kind: int, key, a, b, vals) -> pa.Table:
+        # one schema for both exchanges: kind 0 a pair (a, b, value),
+        # 1 a collapse edge (rep, member), 2 a side-a pair's count of
+        # unexpanded members (count, b)
         return pa.table(
             {
-                "__shard": pa.array(rep % n_shards, type=pa.int64()),
-                "rep": pa.array(rep, type=pa.int64()),
-                "member": pc.cast(t.column("member"), pa.int64()),
-                "other": pa.array(np.full(n, -1), type=pa.int64()),
-                "value": pa.array(np.zeros(n), type=pa.float64()),
-                "is_edge": pa.array(np.ones(n, dtype=bool)),
+                "shard": np.mod(key, n_shards),
+                "kind": np.full(len(key), kind, dtype=np.int8),
+                "a": a,
+                "b": b,
+                "value": pa.array(vals, type=value_type),
             }
         )
 
-    edge_tagged = edges_ds.map_batches(_tag_edges, batch_format="pyarrow")
+    def edge_rows(t: pa.Table) -> pa.Table:
+        rep = _int64(t.column("rep"))
+        return rows(1, rep, rep, _int64(t.column("member")), np.zeros(len(rep), dtype=value_dtype))
 
-    def _tag_pairs(side: str, other: str):
-        def tag(t: pa.Table) -> pa.Table:
-            rep = (
-                t.column(side)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            n = t.num_rows
-            return pa.table(
-                {
-                    "__shard": pa.array(rep % n_shards, type=pa.int64()),
-                    "rep": pa.array(rep, type=pa.int64()),
-                    "member": pa.array(np.full(n, -1), type=pa.int64()),
-                    "other": pc.cast(t.column(other), pa.int64()),
-                    "value": pc.cast(t.column(value_col), pa.float64()),
-                    "is_edge": pa.array(np.zeros(n, dtype=bool)),
-                }
-            )
+    def pair_rows(t: pa.Table) -> pa.Table:
+        a = _int64(t.column("id_a"))
+        return rows(0, a, a, _int64(t.column("id_b")), values(t.column(value_col)))
 
-        return tag
+    def split(t: pa.Table):
+        kind = t.column("kind").to_numpy()
+        a, b, v = _int64(t.column("a")), _int64(t.column("b")), values(t.column("value"))
+        return _dup_groups(a[kind == 1], b[kind == 1]), kind, a, b, v
 
-    def side_expand(df: pd.DataFrame) -> pd.DataFrame:
-        import logging
-
-        # drop_duplicates: duplicate-id input rows yield repeated
-        # (rep, member) edges, which would replicate each cross pair
-        edges = df[df["is_edge"]][["rep", "member"]].drop_duplicates()
-        prs = df[~df["is_edge"]][["rep", "other", "value"]]
-        empty = pd.DataFrame(
-            {
-                "mem": pd.Series(dtype="int64"),
-                "other": pd.Series(dtype="int64"),
-                "value": pd.Series(dtype="float64"),
-            }
+    def expand_a(t: pa.Table) -> pa.Table:
+        (rep, member, _, _), kind, a, b, v = split(t)
+        p = kind == 0
+        a2, b2, v2, full, kept = _expand_side(rep, member, expand_cap, a[p], b[p], v[p])
+        skipped = full > kept
+        bs = b[p][skipped]
+        return pa.concat_tables(
+            [
+                rows(0, b2, a2, b2, v2),
+                rows(2, bs, (full - kept)[skipped], bs, np.zeros(len(bs), dtype=value_dtype)),
+            ]
         )
-        if prs.empty:
-            return empty
-        base = prs.rename(columns={"rep": "mem"})[["mem", "other", "value"]]
-        if edges.empty:
-            return base.astype({"mem": "int64", "other": "int64"})
-        if expand_cap is not None:
-            cnt = edges.groupby("rep").size()
-            big = cnt[cnt + 1 > expand_cap]
-            if len(big):
-                pair_cnt = prs.groupby("rep").size()
-                dropped = int(
-                    sum(
-                        int(c) * int(pair_cnt.get(rep, 0))
-                        for rep, c in big.items()
-                    )
-                )
-                if dropped:
-                    logging.getLogger(__name__).warning(
-                        "_expand_dup_pairs: cross-group expansion capped at "
-                        "expand_cap=%d members/side; %d expanded pair(s) "
-                        "dropped (rep-level pair kept; intra stars keep "
-                        "every member connected)",
-                        expand_cap,
-                        dropped,
-                    )
-                edges = edges[~edges["rep"].isin(big.index)]
-        j = prs.merge(edges, on="rep")
-        j = j[["member", "other", "value"]].rename(columns={"member": "mem"})
-        out = pd.concat([base, j], ignore_index=True)
-        return out.astype({"mem": "int64", "other": "int64"})
 
-    # side A: replicate each pair across members of id_a's group
-    stage_a = (
-        edge_tagged.union(
-            rep_pairs.map_batches(
-                _tag_pairs("id_a", "id_b"), batch_format="pyarrow"
-            )
-        )
-        .groupby("__shard")
-        .map_groups(
-            lambda df: side_expand(df.drop(columns=["__shard"])),
-            batch_format="pandas",
-        )
+    def expand_b(t: pa.Table) -> pa.Table:
+        groups, kind, a, b, v = split(t)
+        rep, member = groups[:2]
+        ia, ib, iv, dropped = intra(*groups)
+        p, q = kind == 0, kind == 2
+        b2, a2, v2, full, kept = _expand_side(rep, member, expand_cap, b[p], a[p], v[p])
+        # a member side a skipped would have met b and b's group
+        size_b = np.searchsorted(rep, b[q], "right") - np.searchsorted(rep, b[q])
+        dropped += int((full - kept).sum() + a[q] @ (1 + size_b))
+        return pair_table(np.r_[a2, ia], np.r_[b2, ib], np.r_[v2, iv], dropped)
+
+    edges = edges_ds.map_batches(edge_rows, batch_format="pyarrow")
+    side_a = shard_exchange(
+        edges.union(rep_pairs.map_batches(pair_rows, batch_format="pyarrow")), "shard", n_shards, expand_a
     )
-
-    # side B: same over id_b — rename so the shared tagger applies
-    def _stage_a_as_pairs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id_a": t.column("mem"),
-                "id_b": t.column("other"),
-                value_col: t.column("value"),
-            }
-        )
-
-    stage_b = (
-        edge_tagged.union(
-            stage_a.map_batches(
-                _stage_a_as_pairs, batch_format="pyarrow"
-            ).map_batches(_tag_pairs("id_b", "id_a"), batch_format="pyarrow")
-        )
-        .groupby("__shard")
-        .map_groups(
-            lambda df: side_expand(df.drop(columns=["__shard"])),
-            batch_format="pandas",
-        )
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        # stage_b rows are (mem = expanded id_b member, other = expanded
-        # id_a member); restore id_a < id_b (member ids can interleave
-        # across groups) and the value column's dtype
-        a = t.column("other").to_numpy(zero_copy_only=False)
-        b = t.column("mem").to_numpy(zero_copy_only=False)
-        lo_ = np.minimum(a, b)
-        hi_ = np.maximum(a, b)
-        val = t.column("value")
-        if value_dtype == "int64":
-            val = pc.cast(pc.round(val), pa.int64())
-        return pa.table(
-            {
-                "id_a": pa.array(lo_, type=pa.int64()),
-                "id_b": pa.array(hi_, type=pa.int64()),
-                value_col: val,
-            }
-        )
-
-    cross = stage_b.map_batches(finish, batch_format="pyarrow")
-    return cross.union(intra)
+    return logged(shard_exchange(edges.union(side_a), "shard", n_shards, expand_b))
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +568,12 @@ def _first_rows(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, sizes)`` of the runs of equal values in sorted ``keys``."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if len(keys) else np.empty(0, dtype=np.int64)
+    return starts, np.diff(np.r_[starts, len(keys)])
+
+
 def _bucket_pairs(bucket: np.ndarray, ids: np.ndarray, max_bucket: int | None):
     """Distinct ``(id_a < id_b)`` pairs of ids sharing a bucket, plus the
     ``max_bucket`` cap's ``(capped buckets, dropped pairs)``.
@@ -691,8 +586,7 @@ def _bucket_pairs(bucket: np.ndarray, ids: np.ndarray, max_bucket: int | None):
     sel = order[first]
     bucket, ids = bucket[sel], ids[sel]
     n = len(ids)
-    starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]]) if n else np.empty(0, dtype=np.int64)
-    sizes = np.diff(np.r_[starts, n])
+    starts, sizes = _runs(bucket)
     kept = sizes
     capped = dropped = 0
     if max_bucket is not None:
@@ -1120,81 +1014,72 @@ def minhash_lsh_pairs(
 # ---------------------------------------------------------------------------
 
 
+def _component_roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Connected components of ``n`` nodes joined by the arcs ``a[i]-b[i]``:
+    each node's root, the smallest node code of its component.  Min-label
+    propagation: every arc whose ends have different roots hooks the
+    larger root under the smaller, then pointer jumping flattens the
+    forest back into stars.  The one components kernel of the repo:
+    :func:`neardup_clusters` and the KG's ``graph_components`` and
+    ``canonicalize_entities`` run it on the driver."""
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        np.minimum.at(parent, np.maximum(ra, rb)[live], np.minimum(ra, rb)[live])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
 def neardup_clusters(
     pairs_ds,
-    nodes_ds=None,
     rounds: int = 16,
     driver_threshold: int = 1_000_000,
 ):
-    """Cluster near-duplicate pairs into components.
+    """Cluster near-duplicate pairs into components: int64
+    ``(doc_id, cluster_id)`` Arrow rows, one per id a pair names (a
+    self-pair names a singleton), with ``cluster_id`` the component's
+    minimum id.  Every signed int64 id is a plain id on both placements.
 
-    Safe for the full signed int64 id range on BOTH paths: the
-    distributed rounds discriminate witness-marker rows by ``w != 0``
-    (edges always carry w = 0; every marker's w is positive), so a real
-    node id of -1 is just another node.
+    ``pairs_ds`` (rows with ``id_a``/``id_b``) is materialized once, so
+    the count and the passes read its cached blocks instead of re-running
+    the upstream LSH pipeline.
 
-    The upstream LSH pipeline is executed ONCE: ``pairs_ds`` is materialized
-    before the size check, so the count and the subsequent passes read the
-    cached blocks instead of re-running the shuffle.
-
-    When the pair set is small (<= driver_threshold rows), collapse it with
-    a driver-side union-find — near-dup pair sets are tiny relative to the
-    corpus, and each distributed round costs shuffles.  Otherwise run
-    alternating LARGE-STAR / SMALL-STAR rounds (Kiveris et al., "Connected
-    Components in MapReduce and Beyond"): each star op is ONE node-sharded
-    groupby that rewires every node's neighbours toward its neighbourhood
-    minimum, so a round costs 2 groupbys + 1 materialize (round 2's
-    min-label + pointer-jumping loop cost 3 groupbys + 2 materializes per
-    round).  Convergence is detected by an edge-set witness pair — two
-    INDEPENDENT bounded per-edge hash sums (plus edge count) over the
-    deduplicated edges, computed inside the large-star tasks and compared
-    exactly on the driver: equal consecutive witness pairs mean the edge
-    set is stable (a false stop needs a simultaneous collision in both
-    families, ~2^-120), at which point every node neighbours its
-    component minimum.  If the ``rounds`` budget is exhausted first a
-    warning is logged and the current labels are returned.
-
-    pairs_ds: rows with id_a/id_b.  nodes_ds: optional rows with doc_id for
-    singleton nodes.  Returns int64 (doc_id, cluster_id) Arrow blocks on
-    both paths, with cluster_id = min doc id in the component.
+    Up to ``driver_threshold`` pairs (near-dup pair sets are small next
+    to the corpus, and each distributed round costs exchanges) the id
+    columns come to the driver, ``np.unique`` codes them and
+    :func:`_component_roots` labels the codes; the rows come out sorted
+    by id.  Above it, alternating LARGE-STAR / SMALL-STAR rounds
+    (Kiveris et al., "Connected Components in MapReduce and Beyond") run
+    as numpy merges on :func:`deduce_ray.ops.agg.shard_exchange`: each
+    star op is one node-sharded exchange that rewires every node's
+    neighbours toward its neighbourhood minimum.  Convergence is detected
+    by an edge-set witness pair: two INDEPENDENT bounded per-edge hash
+    sums (plus edge count) over the distinct edges entering the large
+    star, emitted as marker rows (``w != 0``; every edge carries
+    ``w = 0``) and compared exactly on the driver.  Equal consecutive
+    witness pairs mean the edge set is stable (a false stop needs a
+    simultaneous collision in both families, ~2^-120), at which point
+    every node neighbours its component minimum.  If the ``rounds``
+    budget is exhausted first a warning is logged and the current labels
+    are returned.
     """
     import ray.data
 
     pairs_ds = pairs_ds.materialize()
 
     if driver_threshold and pairs_ds.count() <= driver_threshold:
-        # pull the id columns columnar: take_all()'s per-row dicts cost
-        # ~1 ms/row on pandas blocks (85 s for 100k pairs vs <1 s)
         got = _pull(pairs_ds.select_columns(["id_a", "id_b"]))
-        pair_a = _int64(got.column("id_a")) if got else np.empty(0, dtype=np.int64)
-        pair_b = _int64(got.column("id_b")) if got else np.empty(0, dtype=np.int64)
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for ia, ib in zip(pair_a.tolist(), pair_b.tolist()):
-            ra, rb = find(ia), find(ib)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        if nodes_ds is not None:
-            for bt in nodes_ds.select_columns(["doc_id"]).iter_batches(
-                batch_format="pyarrow"
-            ):
-                for node in bt.column("doc_id").to_numpy(
-                    zero_copy_only=False
-                ).tolist():
-                    find(int(node))
-        nodes = np.fromiter(sorted(parent), dtype=np.int64, count=len(parent))
-        roots = np.fromiter(
-            (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
-        )
-        return ray.data.from_arrow(pa.table({"doc_id": nodes, "cluster_id": roots}))
+        ids = np.r_[_int64(got.column("id_a")), _int64(got.column("id_b"))] if got else np.empty(0, dtype=np.int64)
+        nodes, codes = np.unique(ids, return_inverse=True)
+        half = len(ids) // 2
+        root = _component_roots(codes[:half], codes[half:], len(nodes))
+        return ray.data.from_arrow(pa.table({"doc_id": nodes, "cluster_id": nodes[root]}))
 
     from deduce_ray.ops.agg import merge_shards, shard_exchange
 
@@ -1204,128 +1089,93 @@ def neardup_clusters(
     # independent hash families ride each marker row (w and v columns) and
     # both sums must repeat for convergence — a false stop needs a
     # simultaneous collision in both (~2^-120), vs ~2^-60 for one family
-    _WMASK = (1 << 28) - 1
+    _WMASK = np.uint64((1 << 28) - 1)
     _WCOUNT_P = 40503
     _WCOUNT_P2 = 65371
     _WMUL = np.uint64(0x9E3779B97F4A7C15)
     _WMUL2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
+    def edge_rows(u, v, w=None) -> pa.Table:
+        w = np.zeros(len(u), dtype=np.int64) if w is None else w
+        return pa.table({"shard": np.mod(u, n_shards), "u": u, "v": v, "w": w})
+
     def to_edges(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("id_a").to_pylist(), dtype=np.int64)
-        b = np.asarray(batch.column("id_b").to_pylist(), dtype=np.int64)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
+        a, b = _int64(batch.column("id_a")), _int64(batch.column("id_b"))
+        u, v = np.r_[a, b], np.r_[b, a]
         keep = u != v
-        u, v = u[keep], v[keep]
-        return pa.table(
-            {
-                "shard": pa.array(u % n_shards, type=pa.int64()),
-                "u": pa.array(u, type=pa.int64()),
-                "v": pa.array(v, type=pa.int64()),
-                "w": pa.array(np.zeros(len(u), dtype=np.int64)),
-            }
+        return edge_rows(u[keep], v[keep])
+
+    def marker(u, v) -> list:
+        """A partition's witness marker row over its distinct edges, none
+        without edges: u = -1 (a plain fill), v = witness 2, w =
+        witness 1."""
+        if not len(u):
+            return [np.empty(0, dtype=np.int64)] * 3
+        uu, vv = u.astype(np.uint64), v.astype(np.uint64)
+        w1 = int((((uu * _WMUL) ^ vv) & _WMASK).sum(dtype=np.uint64)) + len(u) * _WCOUNT_P
+        w2 = int((((vv * _WMUL2) ^ uu) & _WMASK).sum(dtype=np.uint64)) + len(u) * _WCOUNT_P2
+        return [np.array([-1]), np.array([w2]), np.array([w1])]
+
+    def star(rows: pa.Table, large: bool) -> pa.Table:
+        """One star op over a partition: the distinct edges sorted by
+        (u, v), so each node's first v is its least neighbour and
+        m(u) = min(u, min N(u)).  The large star links every larger
+        neighbour v > u to m(u) and emits the witness marker; the small
+        star links every smaller neighbour v < u and u itself to m(u)
+        and passes the markers through.  Both emit symmetric distinct
+        edges, sharded by u."""
+        is_edge = pc.equal(rows.column("w"), 0)
+        edges = rows.filter(is_edge)
+        u, v = _int64(edges.column("u")), _int64(edges.column("v"))
+        order, first = _first_rows([v, u])
+        u, v = u[order[first]], v[order[first]]
+        starts, sizes = _runs(u)
+        m = np.repeat(np.minimum(u[starts], v[starts]), sizes)
+        if large:
+            sel = v > u
+            out_u, out_v, marks = v[sel], m[sel], marker(u, v)
+        else:
+            sel = v < u
+            out_u, out_v = np.r_[v[sel], u[starts]], np.r_[m[sel], m[starts]]
+            markers = rows.filter(pc.invert(is_edge))
+            marks = [_int64(markers.column(c)) for c in ("u", "v", "w")]
+        keep = out_u != out_v
+        su, sv = np.r_[out_u[keep], out_v[keep]], np.r_[out_v[keep], out_u[keep]]
+        order, first = _first_rows([sv, su])
+        return edge_rows(
+            np.r_[su[order[first]], marks[0]],
+            np.r_[sv[order[first]], marks[1]],
+            np.r_[np.zeros(first.sum(), dtype=np.int64), marks[2]],
         )
+
+    def large_star(rows: pa.Table) -> pa.Table:
+        return star(rows, large=True)
+
+    def small_star(rows: pa.Table) -> pa.Table:
+        return star(rows, large=False)
+
+    def witness(ds) -> tuple[int, int]:
+        # exact Python-int sums of both families over the marker rows,
+        # told apart by w != 0, never by u (-1 is a valid node id)
+        got = _pull(
+            ds.map_batches(
+                lambda t: t.filter(pc.not_equal(t.column("w"), 0)).select(["v", "w"]),
+                batch_format="pyarrow",
+            )
+        )
+        return (sum(got.column("w").to_pylist()), sum(got.column("v").to_pylist())) if got else (0, 0)
 
     edges = pairs_ds.map_batches(to_edges, batch_format="pyarrow")
-
-    def _node_mins(df: pd.DataFrame):
-        """Per-u (u, m) with m = min(u, min N(u)) — canonical inside a
-        shard task because all of u's edges share u's shard."""
-        g = df.groupby("u")["v"].min()
-        uu = g.index.to_numpy(dtype=np.int64)
-        m = np.minimum(g.to_numpy(dtype=np.int64), uu)
-        return pd.DataFrame({"u": uu, "m": m})
-
-    def _emit(out: pd.DataFrame, markers: pd.DataFrame | None) -> pd.DataFrame:
-        out = out[out["u"] != out["v"]]
-        sym = pd.concat(
-            [out, out.rename(columns={"u": "v", "v": "u"})], ignore_index=True
-        ).drop_duplicates()
-        sym = sym.astype({"u": "int64", "v": "int64"})
-        sym["shard"] = (sym["u"] % n_shards).astype("int64")
-        sym["w"] = 0
-        sym = sym[["shard", "u", "v", "w"]]
-        if markers is not None and len(markers):
-            sym = pd.concat([sym, markers], ignore_index=True)
-        return sym
-
-    def large_star(df: pd.DataFrame) -> pd.DataFrame:
-        # drop markers from the previous round; dedupe this shard's edges
-        df = df[df["w"] == 0][["u", "v"]].drop_duplicates()
-        if df.empty:
-            return pd.DataFrame(columns=["shard", "u", "v", "w"]).astype(
-                {"shard": "int64", "u": "int64", "v": "int64", "w": "int64"}
-            )
-        # witnesses over the DEDUPED input: describe the edge set entering
-        # this round; emitted as one marker row (u = -1, v = witness2,
-        # w = witness1) that the small-star task passes through for the
-        # driver's per-round comparison
-        uu = df["u"].to_numpy().astype(np.uint64)
-        vv = df["v"].to_numpy().astype(np.uint64)
-        h1 = ((uu * _WMUL) ^ vv) & np.uint64(_WMASK)
-        h2 = ((vv * _WMUL2) ^ uu) & np.uint64(_WMASK)
-        w1 = int(h1.sum(dtype=np.uint64)) + len(df) * _WCOUNT_P
-        w2 = int(h2.sum(dtype=np.uint64)) + len(df) * _WCOUNT_P2
-        markers = pd.DataFrame(
-            [{"shard": 0, "u": -1, "v": w2, "w": w1}]
-        ).astype({"shard": "int64", "u": "int64", "v": "int64", "w": "int64"})
-        mins = _node_mins(df)
-        j = df.merge(mins, on="u")
-        sel = j[j["v"] > j["u"]]
-        out = sel[["v", "m"]].rename(columns={"v": "u", "m": "v"})
-        return _emit(out, markers)
-
-    def small_star(df: pd.DataFrame) -> pd.DataFrame:
-        markers = df[df["w"] != 0][["shard", "u", "v", "w"]]
-        df = df[df["w"] == 0][["u", "v"]].drop_duplicates()
-        if df.empty:
-            return markers.reset_index(drop=True)
-        mins = _node_mins(df)
-        j = df.merge(mins, on="u")
-        sel = j[j["v"] < j["u"]]
-        out = pd.concat(
-            [
-                sel[["v", "m"]].rename(columns={"v": "u", "m": "v"}),
-                mins.rename(columns={"u": "u", "m": "v"}),
-            ],
-            ignore_index=True,
-        )
-        return _emit(out, markers)
-
-    def _witness_of(ds) -> tuple[int, int]:
-        # marker rows are one per non-empty shard (<= n_shards); exact
-        # Python-int sums of both families on the driver.  Discriminate
-        # by w != 0 (edges always carry w = 0; a marker's w is >=
-        # _WCOUNT_P > 0 since every marker summarizes >= 1 edge) — NOT
-        # by u == -1, which a real node id can legitimately equal now
-        # that negative ids are supported end-to-end; -1 in a marker's
-        # u is a plain fill value
-        rows = ds.map_batches(
-            lambda t: t.filter(pc.not_equal(t.column("w"), 0)).select(
-                ["v", "w"]
-            ),
-            batch_format="pyarrow",
-        ).take_all()
-        return (
-            sum(r["w"] for r in rows),
-            sum(r["v"] for r in rows),
-        )
-
     prev_witness = None
     converged = False
     for _ in range(rounds):
-        edges = (
-            edges.groupby("shard")
-            .map_groups(large_star, batch_format="pandas")
-            .groupby("shard")
-            .map_groups(small_star, batch_format="pandas")
-            .materialize()
-        )
-        witness = _witness_of(edges)
-        if prev_witness is not None and witness == prev_witness:
+        large = shard_exchange(edges, "shard", n_shards, large_star)
+        edges = shard_exchange(large, "shard", n_shards, small_star).materialize()
+        w = witness(edges)
+        if prev_witness is not None and w == prev_witness:
             converged = True
             break
-        prev_witness = witness
+        prev_witness = w
 
     if not converged:
         import logging
@@ -1337,37 +1187,11 @@ def neardup_clusters(
             rounds,
         )
 
-    def _self_rows(ids: np.ndarray) -> pd.DataFrame:
-        # pandas blocks: the star-round edges are pandas (map_groups
-        # output) and the downstream groupby requires one block type
-        return pd.DataFrame(
-            {
-                "shard": ids % n_shards,
-                "u": ids,
-                "v": ids,
-                "w": np.zeros(len(ids), dtype=np.int64),
-            }
-        ).astype({"shard": "int64", "u": "int64", "v": "int64", "w": "int64"})
-
-    # degenerate id_a == id_b pair rows name a node but carry no edge;
-    # to_edges drops them from the star rounds, so re-inject them at
-    # label time as singletons (matching the driver union-find path)
-    def selfies(df: pd.DataFrame) -> pd.DataFrame:
-        a = df["id_a"].to_numpy(dtype=np.int64)
-        b = df["id_b"].to_numpy(dtype=np.int64)
-        return _self_rows(a[a == b])
-
-    label_input = edges.union(
-        pairs_ds.map_batches(selfies, batch_format="pandas")
-    )
-    if nodes_ds is not None:
-
-        def to_self(df: pd.DataFrame) -> pd.DataFrame:
-            return _self_rows(df["doc_id"].to_numpy(dtype=np.int64))
-
-        label_input = label_input.union(
-            nodes_ds.map_batches(to_self, batch_format="pandas")
-        )
+    def self_rows(batch: pa.Table) -> pa.Table:
+        # a self-pair names a node but carries no edge (to_edges drops
+        # it), so it re-enters here as a singleton
+        a, b = _int64(batch.column("id_a")), _int64(batch.column("id_b"))
+        return edge_rows(a[a == b], a[a == b])
 
     def cluster_labels(rows: pa.Table) -> pa.Table:
         # per node u: min(u, min N(u)), the star rounds' component minimum
@@ -1375,13 +1199,12 @@ def neardup_clusters(
         u, v = _int64(edges.column("u")), _int64(edges.column("v"))
         order = np.argsort(u, kind="stable")
         u, v = u[order], v[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]]) if len(u) else np.empty(0, dtype=np.int64)
+        starts, _ = _runs(u)
         nodes = u[starts]
         low = np.minimum.reduceat(v, starts) if len(u) else nodes
         return pa.table({"doc_id": nodes, "cluster_id": np.minimum(nodes, low)})
 
-    # Arrow blocks out (the star rounds are pandas): unions with Arrow
-    # datasets then sort and batch without a block-type clash
+    label_input = edges.union(pairs_ds.map_batches(self_rows, batch_format="pyarrow"))
     return shard_exchange(label_input, "shard", n_shards, cluster_labels)
 
 

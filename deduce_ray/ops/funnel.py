@@ -29,9 +29,13 @@ store between the multi-consume stages — at beyond-RAM corpus sizes
 that is object-store spill, not heap; ``checkpoint=False`` keeps every
 stage a lazy re-execution instead.
 
-Cluster-loser semantics: within every near-dup cluster the MINIMUM doc id
-survives (``neardup_clusters`` labels components by their min id, so a
-loser is simply a row whose id differs from its cluster id).
+Cluster-loser semantics: the MinHash and the semantic stage both end in
+:func:`_cluster_loser_refs`.  With ``neardup_keep="min_id"`` the minimum
+doc id of every near-dup cluster survives (``neardup_clusters`` labels
+components by their min id, so a loser is simply a row whose id differs
+from its cluster id); with ``"longest"`` the member with the most
+characters does, ties to the smaller id, picked in one exchange keyed by
+cluster.  No pandas frame is built.
 """
 
 from __future__ import annotations
@@ -130,201 +134,89 @@ def _failing_ids_fn(
     return failing
 
 
-def _neardup_loser_refs(
-    survivors,
-    text_col: str,
-    id_col: str,
-    minhash_threshold: float,
-    loser_broadcast_max: int,
-    max_bucket: int | None = None,
-    bands: int | None = None,
-    keep: str = "min_id",
-):
-    """ray.put sorted-id chunk refs for every near-dup cluster member
-    except its representative.  The clusters table is bounded by the
-    corpus's near-duplicate rows, so the loser list is small relative
-    to the corpus.
+def _cluster_loser_refs(survivors, labels, text_col: str, id_col: str,
+                        keep: str, loser_broadcast_max: int):
+    """ray.put sorted-id chunk refs of every near-dup cluster member
+    except its representative, for the MinHash and the semantic stage
+    alike.  ``labels`` are :func:`neardup_clusters` rows
+    ``(doc_id, cluster_id)``, bounded by the near-duplicate mass, never
+    the corpus.
 
-    ``keep`` picks the representative: ``"min_id"`` (the component
-    minimum — cheapest, row-local) or ``"longest"`` (the member with
-    the most characters, ties to the smaller id — the CCNet/
-    RefinedWeb-style quality heuristic: boilerplate-trimmed copies and
-    truncated mirrors lose to the fullest text).  The longest path
-    adds ONE bounded corpus pass: cluster member ids broadcast sorted,
-    members emit (id, n_chars), and a small cluster-sharded groupby
-    picks winners — everything scales with the near-dup mass, never
-    the corpus."""
-    from deduce_ray.ops.dedup import (
-        _chunked_id_refs,
-        minhash_lsh_pairs,
-        neardup_clusters,
-    )
-
-    if keep not in ("min_id", "longest"):
-        raise ValueError(f"keep must be 'min_id' or 'longest', got {keep!r}")
-    kwargs = {} if bands is None else {"bands": bands}
-    pairs = minhash_lsh_pairs(
-        survivors,
-        text_col=text_col,
-        id_col=id_col,
-        threshold=minhash_threshold,
-        max_bucket=max_bucket,
-        **kwargs,
-    )
-    labels = neardup_clusters(pairs)
-    if keep == "longest":
-        return _longest_member_loser_refs(
-            survivors, labels, text_col, id_col, loser_broadcast_max
-        )
-
-    def losers_of(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # cluster_id IS the component minimum, so the loser test is
-        # row-local — a per-batch groupby-min would be wrong whenever a
-        # cluster spans blocks (the distributed labels path shards by id)
-        keep_mask = pc.equal(batch.column("doc_id"), batch.column("cluster_id"))
-        return pa.table(
-            {"doc_id": batch.column("doc_id").filter(pc.invert(keep_mask))}
-        )
-
-    loser_ds = labels.map_batches(losers_of, batch_format="pyarrow")
-    return _chunked_id_refs(loser_ds, "doc_id", loser_broadcast_max)
-
-
-def _longest_member_loser_refs(survivors, labels, text_col, id_col,
-                               loser_broadcast_max):
-    """Losers = cluster members except the (max n_chars, min id) one.
-    labels: (doc_id, cluster_id) rows, bounded by near-dup mass."""
+    ``keep="min_id"`` keeps the component minimum: a loser is a row whose
+    id differs from its cluster id, a row-local test however the labels
+    are split into blocks.  ``keep="longest"`` keeps the member with the
+    most characters, ties to the smaller id (the CCNet/RefinedWeb-style
+    quality heuristic: boilerplate-trimmed copies and truncated mirrors
+    lose to the fullest text).  The labels broadcast as sorted chunks,
+    one corpus pass tags every member with its cluster and length, and
+    one :func:`deduce_ray.ops.agg.shard_exchange` keyed by cluster picks
+    each winner with ``np.lexsort((doc_id, -n_chars, cluster_id))``."""
     import numpy as np
-    import ray
     import pyarrow.compute as pc
+    import ray
 
-    from deduce_ray.ops.agg import merge_shards
-    from deduce_ray.ops.dedup import _chunked_id_refs
+    from deduce_ray.ops.agg import merge_shards, shard_exchange
+    from deduce_ray.ops.dedup import _chunked_id_refs, _int64
 
-    labels = labels.materialize()
-    member_refs = _chunked_id_refs(
-        labels.map_batches(
-            lambda b: b.select(["doc_id"]), batch_format="pyarrow"
-        ),
-        "doc_id",
-        loser_broadcast_max,
-    )
-    if not member_refs:
-        return []
-
-    def member_lengths(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        mask = np.zeros(len(ids), dtype=bool)
-        for ref in member_refs:
-            chunk = ray.get(ref)
-            idx = np.searchsorted(chunk, ids)
-            idx[idx == len(chunk)] = 0
-            mask |= chunk[idx] == ids
-        if not mask.any():
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "n_chars": pa.array([], type=pa.int64()),
-                }
-            )
-        sub = batch.filter(pa.array(mask))
-        texts = sub.column(text_col).to_pylist()
-        return pa.table(
-            {
-                "doc_id": pc.cast(sub.column(id_col), pa.int64()),
-                "n_chars": pa.array(
-                    [len(t) if t else 0 for t in texts], type=pa.int64()
-                ),
-            }
+    if keep == "min_id":
+        losers = labels.map_batches(
+            lambda b: b.filter(pc.not_equal(b.column("doc_id"), b.column("cluster_id"))).select(["doc_id"]),
+            batch_format="pyarrow",
         )
+        return _chunked_id_refs(losers, "doc_id", loser_broadcast_max)
 
-    lengths = survivors.map_batches(member_lengths, batch_format="pyarrow")
+    # (doc_id, cluster_id) chunks sorted by doc_id, as _chunked_id_refs
+    # ships ids: the driver holds one chunk
+    def put_sorted(parts: list) -> ray.ObjectRef:
+        chunk = np.concatenate(parts, axis=1)
+        return ray.put(chunk[:, np.argsort(chunk[0])])
+
+    chunk_rows = max(int(loser_broadcast_max), 1_000_000)
+    label_refs, parts, buffered = [], [], 0
+    for b in labels.iter_batches(batch_format="pyarrow"):
+        if not b.num_rows:
+            continue
+        parts.append(np.stack([_int64(b.column("doc_id")), _int64(b.column("cluster_id"))]))
+        buffered += b.num_rows
+        if buffered >= chunk_rows:
+            label_refs.append(put_sorted(parts))
+            parts, buffered = [], 0
+    if parts:
+        label_refs.append(put_sorted(parts))
+    if not label_refs:
+        return []
     n_shards = merge_shards()
 
-    def shard_of(batch: pa.Table, col: str) -> pa.Table:
-        c = batch.column(col).to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__shard",
-            pa.array(
-                (c.view(np.uint64) % n_shards).astype(np.int64)
-                if len(c)
-                else np.empty(0, dtype=np.int64)
-            ),
+    def members(batch: pa.Table) -> pa.Table:
+        ids = _int64(batch.column(id_col))
+        cluster = np.zeros(len(ids), dtype=np.int64)
+        found = np.zeros(len(ids), dtype=bool)
+        for ref in label_refs:
+            doc, clu = ray.get(ref)
+            pos = np.minimum(np.searchsorted(doc, ids), len(doc) - 1)
+            hit = doc[pos] == ids
+            cluster[hit], found = clu[pos[hit]], found | hit
+        n_chars = pc.fill_null(pc.utf8_length(batch.column(text_col)), 0).to_numpy()
+        return pa.table(
+            {
+                "shard": np.mod(cluster[found], n_shards),
+                "cluster_id": cluster[found],
+                "doc_id": ids[found],
+                "n_chars": n_chars[found].astype(np.int64),
+            }
         )
 
-    import pandas as pd
+    def pick_losers(rows: pa.Table) -> pa.Table:
+        cluster, doc, n_chars = (_int64(rows.column(c)) for c in ("cluster_id", "doc_id", "n_chars"))
+        order = np.lexsort((doc, -n_chars, cluster))
+        cluster = cluster[order]
+        loser = np.zeros(len(order), dtype=bool)
+        loser[1:] = cluster[1:] == cluster[:-1]
+        return pa.table({"doc_id": doc[order][loser]})
 
-    # two tiny sharded exchanges over the near-dup mass only: (1) a
-    # member-id-sharded merge attaches each member's n_chars to its
-    # label row, (2) a cluster-sharded pass keeps everything but the
-    # (max n_chars, min id) representative per cluster
-    lab_tag = labels.map_batches(
-        lambda b: b.append_column(
-            "__side", pa.array(np.zeros(b.num_rows, dtype=np.int64))
-        ).append_column(
-            "n_chars", pa.array(np.zeros(b.num_rows, dtype=np.int64))
-        ),
-        batch_format="pyarrow",
-    )
-    len_tag = lengths.map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "cluster_id": pa.array(
-                    np.zeros(b.num_rows, dtype=np.int64)
-                ),
-                "__side": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-                "n_chars": b.column("n_chars"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    both = lab_tag.union(len_tag).map_batches(
-        lambda b: shard_of(b, "doc_id"), batch_format="pyarrow"
-    )
-
-    def join_member(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "cluster_id": pa.array([], type=pa.int64()),
-                    "n_chars": pa.array([], type=pa.int64()),
-                }
-            )
-        lab = df[df["__side"] == 0][["doc_id", "cluster_id"]]
-        ln = df[df["__side"] == 1][["doc_id", "n_chars"]]
-        m = lab.merge(ln, on="doc_id", how="left")
-        m["n_chars"] = m["n_chars"].fillna(0).astype("int64")
-        return pa.Table.from_pandas(m, preserve_index=False)
-
-    member_rows = both.groupby("__shard").map_groups(
-        join_member, batch_format="pandas"
-    )
-    clustered = member_rows.map_batches(
-        lambda b: shard_of(b, "cluster_id"), batch_format="pyarrow"
-    )
-    loser_ds = clustered.groupby("__shard").map_groups(
-        pick_losers_by_cluster, batch_format="pandas"
-    )
-    return _chunked_id_refs(loser_ds, "doc_id", loser_broadcast_max)
-
-
-def pick_losers_by_cluster(df):
-    """Within one cluster shard: every member except the
-    (max n_chars, min doc_id) representative."""
-    import pandas as pd
-    import pyarrow as pa
-
-    if df.empty:
-        return pa.table({"doc_id": pa.array([], type=pa.int64())})
-    df = df.sort_values(["n_chars", "doc_id"], ascending=[False, True])
-    losers = df[df.duplicated("cluster_id", keep="first")]
-    return pa.table(
-        {"doc_id": pa.array(losers["doc_id"].to_numpy(), type=pa.int64())}
-    )
+    tagged = survivors.map_batches(members, batch_format="pyarrow")
+    losers = shard_exchange(tagged, "shard", n_shards, pick_losers)
+    return _chunked_id_refs(losers, "doc_id", loser_broadcast_max)
 
 
 def prep_corpus(
@@ -381,7 +273,7 @@ def prep_corpus(
     ``neardup_keep`` picks each near-dup cluster's survivor:
     ``"min_id"`` (default) or ``"longest"`` (max characters, ties to
     the smaller id — keep the fullest copy, the quality-aware
-    convention; see _neardup_loser_refs).
+    convention; see _cluster_loser_refs).
 
     ``max_dup_line_ppm`` / ``max_top_2gram_ppm`` / ``max_dup_5gram_ppm``
     enable the Gopher-style repetition filters inside the SAME single
@@ -416,8 +308,12 @@ def prep_corpus(
         _chunked_id_refs,
         _drop_ids,
         dedup_survivors,
+        minhash_lsh_pairs,
+        neardup_clusters,
     )
 
+    if neardup_keep not in ("min_id", "longest"):
+        raise ValueError(f"keep must be 'min_id' or 'longest', got {neardup_keep!r}")
     rep_caps = (max_dup_line_ppm, max_top_2gram_ppm, max_dup_5gram_ppm)
     if (
         langs is not None
@@ -466,22 +362,20 @@ def prep_corpus(
         # substring-stripped) SURVIVORS: collapse already removed
         # byte-identical copies and the strip removed shared boilerplate,
         # so LSH buckets reflect each document's real body
-        refs = _neardup_loser_refs(
-            survivors,
-            text_col,
-            id_col,
-            minhash_threshold,
-            loser_broadcast_max,
-            max_bucket=max_bucket,
-            bands=minhash_bands,
-            keep=neardup_keep,
+        kwargs = {} if minhash_bands is None else {"bands": minhash_bands}
+        pairs = minhash_lsh_pairs(
+            survivors, text_col=text_col, id_col=id_col,
+            threshold=minhash_threshold, max_bucket=max_bucket, **kwargs,
+        )
+        refs = _cluster_loser_refs(
+            survivors, neardup_clusters(pairs), text_col, id_col,
+            neardup_keep, loser_broadcast_max,
         )
         out = _drop_ids(survivors, refs, id_col) if refs else survivors
     if semantic_threshold is not None:
         out = _semantic_loser_filter(
             out, text_col, id_col, float(semantic_threshold),
-            embed_dim, loser_broadcast_max, checkpoint,
-            keep=neardup_keep,
+            embed_dim, loser_broadcast_max, checkpoint, neardup_keep,
         )
     if max_ppl is None:
         return out
@@ -492,21 +386,17 @@ def prep_corpus(
 
 
 def _semantic_loser_filter(out, text_col, id_col, threshold, dim,
-                           loser_broadcast_max, checkpoint,
-                           keep: str = "min_id"):
+                           loser_broadcast_max, checkpoint, keep):
     """Semantic near-dup stage: embed the surviving corpus (actor-pool
     inference, ops/embed.py), find cosine near-duplicate clusters via
-    hyperplane LSH, keep each cluster's minimum id.  Runs AFTER the
-    MinHash pass: shingle-level near-dups are already gone, so this
-    catches only reorderings/paraphrases the n-gram space missed (the
-    bag-of-words hashing encoder maps word-permuted documents to the
-    SAME vector — cosine exactly 1.0, LSH recall 1).  The survivor set
-    is consumed twice (embed + final anti-join), so it checkpoints
-    first."""
-    import pyarrow.compute as pc
-
+    hyperplane LSH, keep each cluster's representative
+    (:func:`_cluster_loser_refs`).  Runs AFTER the MinHash pass:
+    shingle-level near-dups are already gone, so this catches only
+    reorderings/paraphrases the n-gram space missed (the bag-of-words
+    hashing encoder maps word-permuted documents to the SAME vector —
+    cosine exactly 1.0, LSH recall 1).  The survivor set is consumed
+    twice (embed + final anti-join), so it checkpoints first."""
     from deduce_ray.ops.dedup import (
-        _chunked_id_refs,
         _drop_ids,
         embedding_neardup_pairs,
         neardup_clusters,
@@ -519,23 +409,9 @@ def _semantic_loser_filter(out, text_col, id_col, threshold, dim,
     pairs = embedding_neardup_pairs(
         emb, id_col=id_col, vec_col="embedding", threshold=threshold
     )
-    labels = neardup_clusters(pairs)
-    if keep == "longest":
-        refs = _longest_member_loser_refs(
-            out, labels, text_col, id_col, loser_broadcast_max
-        )
-        return _drop_ids(out, refs, id_col) if refs else out
-
-    def losers_of(batch: pa.Table) -> pa.Table:
-        keep_mask = pc.equal(
-            batch.column("doc_id"), batch.column("cluster_id")
-        )
-        return pa.table(
-            {id_col: batch.column("doc_id").filter(pc.invert(keep_mask))}
-        )
-
-    loser_ds = labels.map_batches(losers_of, batch_format="pyarrow")
-    refs = _chunked_id_refs(loser_ds, id_col, loser_broadcast_max)
+    refs = _cluster_loser_refs(
+        out, neardup_clusters(pairs), text_col, id_col, keep, loser_broadcast_max
+    )
     return _drop_ids(out, refs, id_col) if refs else out
 
 

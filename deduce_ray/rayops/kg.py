@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 
 from deduce_ray.ops.agg import key_shards, per_distinct
+from deduce_ray.ops.dedup import _component_roots
 from deduce_ray.sinks import commit_units, completed_units, write_run_manifest
 
 _GRAPH_KEY = ["repo", "lang", "doc_id", "pred", "obj", "entity_id"]
@@ -842,26 +843,6 @@ def _plurality(dst: np.ndarray, lab: np.ndarray, n: int, votes=None):
     return d[first], lab[first]
 
 
-def _component_roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Connected components of ``n`` nodes joined by the arcs ``a[i]-b[i]``:
-    each node's root, the smallest node code of its component.  Min-label
-    propagation: every arc whose ends have different roots hooks the
-    larger root under the smaller, then pointer jumping flattens the
-    forest back into stars."""
-    parent = np.arange(n)
-    while True:
-        ra, rb = parent[a], parent[b]
-        live = ra != rb
-        if not live.any():
-            return parent
-        np.minimum.at(parent, np.maximum(ra, rb)[live], np.minimum(ra, rb)[live])
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-
-
 def pagerank(
     edges_ds,
     damping: float = 0.85,
@@ -1074,16 +1055,18 @@ def graph_components(
 
     Graphs of at most ``driver_threshold`` edges take the DRIVER path:
     the materialized edge columns are pulled once and coded through
-    :func:`_node_codes`, min-label propagation with pointer jumping
-    labels each node with its component's smallest code, and
-    ``np.minimum.at`` takes each component's smallest form-node id.
+    :func:`_node_codes`, :func:`deduce_ray.ops.dedup._component_roots`
+    (the components kernel shared with ``neardup_clusters`` and
+    :func:`canonicalize_entities`) labels each node with its component's
+    smallest code, and ``np.minimum.at`` takes each component's smallest
+    form-node id.
 
     Above it, the nodes map to their form-node ids, the integer pair
-    list runs through :func:`deduce_ray.ops.dedup.neardup_clusters`
-    (large-star/small-star rounds with an edge-set witness), and the
-    string identity joins back via ONE node-hash sharded merge of the
-    (id, pred, obj) vocabulary against the labels — never a driver pull
-    of either side.
+    list runs through :func:`deduce_ray.ops.dedup.neardup_clusters`'
+    distributed tier (numpy large-star/small-star rounds on
+    ``shard_exchange`` with an edge-set witness), and the string identity
+    joins back via ONE node-hash sharded merge of the (id, pred, obj)
+    vocabulary against the labels — never a driver pull of either side.
     """
     import pyarrow.compute as pc
     import ray.data

@@ -48,6 +48,9 @@ def fetch(result):
         return result
     import ray
 
+    # a lazy dataset's to_arrow_refs() streams the blocks and then runs
+    # the plan again for the schema: materialize once, read the blocks
+    result = result.materialize()
     tables = ray.get(result.to_arrow_refs())
     # some execution paths (pandas-producing map_groups stages) hand
     # back pandas-backed blocks despite the method name — convert
@@ -209,6 +212,7 @@ def main() -> int:
 
     oracles = entrymod.oracle_sql()
     failures = []
+    total = 0.0
 
     for name, fn in qs.items():
         if only and name not in only:
@@ -221,6 +225,7 @@ def main() -> int:
             failures.append(name)
             continue
         elapsed = time.time() - t0
+        total += elapsed
         n_mine = mine.num_rows if not isinstance(mine, pd.DataFrame) else len(mine)
 
         if name not in oracles:
@@ -280,6 +285,7 @@ def main() -> int:
         else:
             print(f"{name}: OK rows={len(a)} ({elapsed:.1f}s)")
 
+    print(f"TOTAL {total:.1f}s over the queries run")
     print("FAILURES:", failures or "none")
     ray.shutdown()
     return 1 if failures else 0

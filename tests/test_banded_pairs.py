@@ -211,6 +211,109 @@ class TestCrossShardPairsOnce:
         assert len(driver) >= 12  # every scaled group's three pairs
 
 
+def _brute_expansion(rep_pairs, edges, intra_value, expand_cap):
+    """Every pair _expand_dup_pairs must emit, from first principles: a
+    group's clique (its star when the clique exceeds ``expand_cap``
+    pairs), and each rep pair over both endpoints' groups (a group of
+    more than ``expand_cap`` ids does not expand)."""
+    import itertools
+
+    groups: dict = {}
+    for rep, member in edges:
+        if rep != member:
+            groups.setdefault(rep, set()).add(member)
+    out = set()
+    for rep, members in groups.items():
+        ids = sorted({rep} | members)
+        if expand_cap is not None and len(ids) * (len(ids) - 1) // 2 > expand_cap:
+            out |= {(min(rep, m), max(rep, m), intra_value) for m in members}
+        else:
+            out |= {(a, b, intra_value) for a, b in itertools.combinations(ids, 2)}
+
+    def side(x):
+        members = groups.get(x, set())
+        if expand_cap is not None and len(members) + 1 > expand_cap:
+            return [x]
+        return [x, *members]
+
+    for a, b, v in rep_pairs:
+        out |= {(min(x, y), max(x, y), v) for x in side(a) for y in side(b)}
+    return out
+
+
+@pytest.mark.parametrize("placement", ["driver", "distributed_edges", "distributed_intra"])
+@pytest.mark.parametrize("expand_cap", [None, 5])
+@pytest.mark.parametrize(
+    "value_col, value_dtype, intra_value, rep_values",
+    [("jaccard", "float64", 1.0, [0.75, 0.5, 0.625, 0.875]), ("hamming", "int64", 0, [3, 1, 2, 0])],
+)
+def test_expand_dup_pairs_placements(
+    ray_session, monkeypatch, caplog, placement, expand_cap, value_col, value_dtype, intra_value, rep_values
+):
+    """Both placements of the exact-dup expansion, forced through their
+    tier limits, equal a brute-force expansion, with and without
+    ``expand_cap``, over groups with duplicate-id rows (repeated and self
+    edges) and signed ids.  The capped run logs the exact dropped-pair
+    total once, the same on every placement."""
+    import ray.data
+
+    from deduce_ray.ops import dedup
+
+    if placement == "distributed_edges":
+        monkeypatch.setattr(dedup, "_EXPAND_DRIVER_EDGES", 0)
+    elif placement == "distributed_intra":
+        monkeypatch.setattr(dedup, "_EXPAND_DRIVER_INTRA", 0)
+    big = 1 << 62
+    # six members: its 21-pair clique and its 7 ids both pass the cap;
+    # three members: a 6-pair star, but the cross pairs expand
+    groups = {
+        -(1 << 63): [-50, -9, 4, 17, big, big + 3],
+        -8: [-2, 11, 12],
+        5: [6, 40],
+        big + 10: [big + 11],
+    }
+    edges = [(rep, m) for rep, members in groups.items() for m in members]
+    edges += [(-8, 11), (5, 40), (5, 5), (big + 10, big + 11)]  # duplicate-id rows
+    rep_pairs = [
+        (-(1 << 63), -8, rep_values[0]),
+        (-8, 5, rep_values[1]),
+        (5, 1000, rep_values[2]),
+        (2000, 3000, rep_values[3]),
+    ]
+    rep_pairs.append((1000, big + 10, rep_values[0]))
+    value_type = pa.from_numpy_dtype(np.dtype(value_dtype))
+    edges_ds = ray.data.from_arrow(
+        pa.table({"rep": pa.array([e[0] for e in edges], pa.int64()), "member": pa.array([e[1] for e in edges], pa.int64())})
+    ).repartition(3).materialize()
+    pairs_ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "id_a": pa.array([p[0] for p in rep_pairs], pa.int64()),
+                "id_b": pa.array([p[1] for p in rep_pairs], pa.int64()),
+                value_col: pa.array([p[2] for p in rep_pairs], value_type),
+            }
+        )
+    ).repartition(2)
+    with caplog.at_level(logging.WARNING, logger="deduce_ray.ops.dedup"):
+        out = dedup._expand_dup_pairs(pairs_ds, edges_ds, value_col, intra_value, value_dtype, expand_cap)
+        table = dedup._pull(out)
+    assert table.column_names == ["id_a", "id_b", value_col]
+    assert table.schema.field(value_col).type == value_type
+    got = sorted(zip(*(table.column(c).to_pylist() for c in table.column_names)))
+    want = _brute_expansion(rep_pairs, edges, intra_value, expand_cap)
+    assert got == sorted(want)
+    logged = [r.getMessage() for r in caplog.records if "expand_cap=" in r.getMessage()]
+    if expand_cap is None:
+        assert logged == []
+    else:
+        dropped = len(_brute_expansion(rep_pairs, edges, intra_value, None)) - len(want)
+        assert dropped > 0
+        assert logged == [
+            f"_expand_dup_pairs: expand_cap={expand_cap} dropped {dropped} expanded pair(s) "
+            "(larger groups emit a star and skip the cross expansion; connectivity preserved)"
+        ]
+
+
 @pytest.mark.parametrize("driver_threshold", [0, 1_000_000])
 def test_neardup_clusters_arrow_blocks_union_sort(ray_session, driver_threshold):
     """neardup_clusters emits int64 Arrow blocks on both paths, so a union

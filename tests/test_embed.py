@@ -292,6 +292,64 @@ def test_semantic_stage_keep_longest(ray_session):
     assert sorted(out["doc_id"]) == [200, 300]
 
 
+def _prep_ids(rows, **kw) -> list:
+    import ray.data
+
+    from deduce_ray.ops.funnel import prep_corpus
+
+    t = pa.table(
+        {
+            "doc_id": pa.array([r[0] for r in rows], type=pa.int64()),
+            "text": pa.array([r[1] for r in rows], type=pa.string()),
+        }
+    )
+    ds = ray.data.from_arrow(t).repartition(4)
+    return sorted(prep_corpus(ds, **kw).to_pandas()["doc_id"])
+
+
+def test_keep_longest_minhash_blocks_nulls_ties(ray_session):
+    """neardup_keep='longest' on the MinHash stage over clusters spread
+    across input blocks, beside null and empty texts: the fullest member
+    survives, a tie between the longest members goes to the smaller id,
+    and the word-less rows pass through."""
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 5
+    other = "one two three four five six seven eight nine ten " * 5
+    rows = [
+        (10, base.strip()),
+        (20, base + "lambda"),
+        (30, base + "lambda mu"),  # the longest
+        (41, other.strip()),
+        (52, other + "tan"),
+        (47, other + "red"),  # ties 52, smaller id
+        (60, None),
+        (61, ""),  # exact dup of the null text: 60 survives it
+        (70, "completely unrelated words live here"),
+    ]
+    assert _prep_ids(rows, minhash_threshold=0.5) == [10, 41, 60, 70]
+    assert _prep_ids(rows, minhash_threshold=0.5, neardup_keep="longest") == [30, 47, 60, 70]
+
+
+def test_keep_longest_semantic_blocks_nulls_ties(ray_session):
+    """The same rule on the semantic stage: word-permuted copies (one
+    bag of words, so cosine 1.0) that MinHash does not pair."""
+    words = ("alpha beta gamma delta epsilon zeta eta theta " * 4).split()
+    w2 = ("one two three four five six seven eight nine ten " * 3).split()
+    rows = [
+        (100, " ".join(words)),
+        (200, " ".join(reversed(words)) + "  "),  # the longest
+        (310, " ".join(w2)),
+        (330, " ".join(reversed(w2)) + "  "),
+        (320, " ".join(sorted(w2)) + "  "),  # ties 330, smaller id
+        (500, None),
+        (501, ""),
+        (600, "completely unrelated words live here"),
+    ]
+    kw = {"minhash_threshold": 0.9, "semantic_threshold": 0.95, "embed_dim": 64}
+    assert _prep_ids(rows, minhash_threshold=0.9) == sorted(r[0] for r in rows if r[0] != 501)
+    assert _prep_ids(rows, **kw) == [100, 310, 500, 600]
+    assert _prep_ids(rows, neardup_keep="longest", **kw) == [200, 320, 500, 600]
+
+
 def test_sign_sql_boundary_literals():
     """The oracle's slot sign matches the engine's ``h64 < 1 << 63`` at
     the top of the positive half, where a DOUBLE bound rounds ``h64`` up

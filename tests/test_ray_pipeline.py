@@ -1608,9 +1608,8 @@ class TestClustersAndJoins:
 
     def test_neardup_clusters_distributed_63bit_ids(self, ray_session):
         """md5-derived node ids exceed float64's 53-bit mantissa; the
-        distributed path must propagate them exactly (nullable-int64
-        columns widen to float64 through Ray's pandas conversion, which
-        silently rounds such ids — regression for the sentinel fix)."""
+        distributed path must propagate them exactly (a float64 detour
+        anywhere in the star rounds would silently round such ids)."""
         import ray.data
 
         from deduce_ray.ops.dedup import neardup_clusters
@@ -1652,6 +1651,78 @@ class TestClustersAndJoins:
             ).take_all()
         }
         assert got == {i: 0 for i in range(12)}
+
+    def test_neardup_clusters_match_union_find(self, ray_session):
+        """Both placements against a union-find over 20 seeded graphs:
+        chains inside the round budget, stars, cliques and forests, on
+        negative, small and > 2**62 ids, with self-pairs, repeated pairs
+        and both orientations.  The driver tier's rows come out sorted
+        by id."""
+        import itertools
+
+        import numpy as np
+        import pyarrow as pa
+        import ray.data
+
+        from deduce_ray.ops.dedup import neardup_clusters
+
+        rng = np.random.default_rng(17)
+        pool = np.r_[
+            np.arange(-30, 30),
+            (1 << 62) + 7 + np.arange(30),
+            -(1 << 63) + np.arange(5),
+            (1 << 63) - 1 - np.arange(5),
+        ]
+
+        def graph(kind: str, k: int) -> list:
+            v = [int(x) for x in rng.choice(pool, size=k, replace=False)]
+            if kind == "chain":
+                pairs = list(zip(v[:-1], v[1:]))
+            elif kind == "star":
+                pairs = [(v[0], x) for x in v[1:]]
+            elif kind == "clique":
+                pairs = list(itertools.combinations(v, 2))
+            else:  # a forest: random trees, some links cut
+                pairs = [
+                    (v[int(rng.integers(0, i))], v[i])
+                    for i in range(1, k)
+                    if rng.random() > 0.25
+                ]
+            pairs += [(x, x) for x in rng.choice(v, size=2)]
+            pairs += [pairs[int(i)] for i in rng.integers(0, len(pairs), size=3)]
+            return [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+
+        def union_find(pairs) -> dict:
+            parent: dict = {}
+
+            def find(x):
+                parent.setdefault(x, x)
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for a, b in pairs:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+            return {x: find(x) for x in parent}
+
+        kinds = ["chain", "star", "clique", "forest"] * 5
+        for n, kind in enumerate(kinds):
+            pairs = graph(kind, int(rng.integers(2, 24 if kind != "clique" else 9)))
+            want = union_find(pairs)
+
+            def run(**kw) -> list:
+                a, b = zip(*pairs)
+                ds = ray.data.from_arrow(
+                    pa.table({"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())})
+                ).repartition(3)
+                return [(r["doc_id"], r["cluster_id"]) for r in neardup_clusters(ds, **kw).take_all()]
+
+            driver = run()
+            assert [d for d, _ in driver] == sorted(want), (n, kind)
+            assert dict(driver) == want, (n, kind)
+            assert dict(run(driver_threshold=0)) == want, (n, kind)
 
     def test_bucketed_join_matches_duckdb(self, ray_session):
         import duckdb
