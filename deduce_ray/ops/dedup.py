@@ -423,13 +423,13 @@ def _expand_dup_pairs(
         # with a cap, kind 0 marks the pairs and one kind-1 row carries
         # the call's dropped-pair count in id_a
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        cols = {"id_a": lo, "id_b": hi, value_col: pa.array(vals, type=value_type)}
+        kind = {}
         if expand_cap is not None:
-            kind = np.zeros(len(lo), dtype=np.int8)
+            kind["kind"] = np.zeros(len(lo), dtype=np.int8)
             if dropped:
-                lo, hi, vals, kind = np.r_[lo, dropped], np.r_[hi, 0], np.r_[vals, 0], np.r_[kind, np.int8(1)]
-            cols = {"id_a": lo, "id_b": hi, value_col: pa.array(vals, type=value_type), "kind": kind}
-        return pa.table(cols)
+                lo, hi, vals = np.r_[lo, dropped], np.r_[hi, 0], np.r_[vals, 0]
+                kind["kind"] = np.r_[kind["kind"], np.int8(1)]
+        return pa.table({"id_a": lo, "id_b": hi, value_col: pa.array(vals, type=value_type), **kind})
 
     def intra(rep, member, starts, sizes) -> tuple:
         a, b, dropped = _intra_pairs(rep, member, starts, sizes, *_intra_counts(sizes, expand_cap))
