@@ -393,7 +393,9 @@ def _expand_dup_pairs(
     whose clique exceeds ``expand_cap`` pairs emits a star around its
     representative, and a group of more than ``expand_cap`` ids does not
     expand the cross pairs (connectivity and dup-flagging preserved).
-    The exact dropped-pair total is logged once, on the driver.
+    The exact dropped-pair total is logged once, on the driver: only
+    where some group can reach the cap is the output materialized to
+    read it, and then the result comes back materialized.
 
     Two kernels over the distinct rep-sorted edges (:func:`_dup_groups`):
     :func:`_intra_pairs` and :func:`_expand_side`, run once per side.
@@ -419,12 +421,18 @@ def _expand_dup_pairs(
     def values(col) -> np.ndarray:
         return col.to_numpy().astype(value_dtype, copy=False)
 
-    def pair_table(a, b, vals, dropped: int) -> pa.Table:
-        # with a cap, kind 0 marks the pairs and one kind-1 row carries
-        # the call's dropped-pair count in id_a
+    def can_cap(sizes) -> bool:
+        # a group drops pairs once its clique exceeds the cap (it emits a
+        # star) or it has more than the cap ids (no cross expansion)
+        s = np.asarray(sizes, dtype=np.int64)
+        return expand_cap is not None and bool((np.maximum((s + 1) * s // 2, s + 1) > expand_cap).any())
+
+    def pair_table(a, b, vals, dropped: int, capped: bool) -> pa.Table:
+        # where a cap can bite, kind 0 marks the pairs and one kind-1 row
+        # carries the call's dropped-pair count in id_a
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         kind = {}
-        if expand_cap is not None:
+        if capped:
             kind["kind"] = np.zeros(len(lo), dtype=np.int8)
             if dropped:
                 lo, hi, vals = np.r_[lo, dropped], np.r_[hi, 0], np.r_[vals, 0]
@@ -435,8 +443,11 @@ def _expand_dup_pairs(
         a, b, dropped = _intra_pairs(rep, member, starts, sizes, *_intra_counts(sizes, expand_cap))
         return a, b, np.full(len(a), intra_value, dtype=value_dtype), dropped
 
-    def logged(out):
-        if expand_cap is None:
+    def logged(out, capped: bool):
+        # the dropped total is known once the output is: only where a
+        # group can reach the cap is it materialized, and the filtered
+        # copy replaces the one carrying the stats rows
+        if not capped:
             return out
         out = out.materialize()
         stats = _pull(out.map_batches(lambda t: t.filter(pc.equal(t.column("kind"), 1)), batch_format="pyarrow"))
@@ -452,16 +463,18 @@ def _expand_dup_pairs(
         return out.map_batches(
             lambda t: t.filter(pc.equal(t.column("kind"), 0)).drop_columns(["kind"]),
             batch_format="pyarrow",
-        )
+        ).materialize()
 
-    # edges_ds is materialized by collapse_exact_dups, so count() is free
+    # edges_ds filters the edges collapse_exact_dups materialized, so a
+    # pass over it is cheap
     if edges_ds.count() <= _EXPAND_DRIVER_EDGES:
         got = _pull(edges_ds)
         groups = _dup_groups(_int64(got.column("rep")), _int64(got.column("member")))
         full, star = _intra_counts(groups[3], expand_cap)
         if np.where(star, groups[3], full).sum() <= _EXPAND_DRIVER_INTRA:
             rep, member = groups[:2]
-            intra_table = pair_table(*intra(*groups))
+            capped = can_cap(groups[3])
+            intra_table = pair_table(*intra(*groups), capped)
             edges_ref = ray.put((rep, member))
 
             def expand(batch: pa.Table) -> pa.Table:
@@ -474,10 +487,10 @@ def _expand_dup_pairs(
                 # a member side a skipped would have met b and b's group;
                 # the rows' first len(kept_a) are the input pairs
                 dropped = (full_a - kept_a) @ (1 + full_b[: len(kept_a)]) + (full_b - kept_b).sum()
-                return pair_table(a, b, v, int(dropped))
+                return pair_table(a, b, v, int(dropped), capped)
 
             cross = rep_pairs.map_batches(expand, batch_format="pyarrow")
-            return logged(cross.union(ray.data.from_arrow(intra_table)))
+            return logged(cross.union(ray.data.from_arrow(intra_table)), capped)
 
     n_shards = merge_shards()
 
@@ -530,13 +543,21 @@ def _expand_dup_pairs(
         # a member side a skipped would have met b and b's group
         size_b = np.searchsorted(rep, b[q], "right") - np.searchsorted(rep, b[q])
         dropped += int((full - kept).sum() + a[q] @ (1 + size_b))
-        return pair_table(np.r_[a2, ia], np.r_[b2, ib], np.r_[v2, iv], dropped)
+        return pair_table(np.r_[a2, ia], np.r_[b2, ib], np.r_[v2, iv], dropped, capped)
 
+    def block_max(t: pa.Table) -> pa.Table:
+        return pa.table({"n": [int(np.unique(_int64(t.column("rep")), return_counts=True)[1].max(initial=0))]})
+
+    # a group's edges may span blocks: the blocks' largest group counts
+    # sum to a bound on every group's size
+    capped = expand_cap is not None and can_cap(
+        pc.sum(_pull(edges_ds.map_batches(block_max, batch_format="pyarrow", batch_size=None)).column("n")).as_py()
+    )
     edges = edges_ds.map_batches(edge_rows, batch_format="pyarrow")
     side_a = shard_exchange(
         edges.union(rep_pairs.map_batches(pair_rows, batch_format="pyarrow")), "shard", n_shards, expand_a
     )
-    return logged(shard_exchange(edges.union(side_a), "shard", n_shards, expand_b))
+    return logged(shard_exchange(edges.union(side_a), "shard", n_shards, expand_b), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -1590,13 +1611,24 @@ def dedup_survivors(
     return _drop_ids(ds, refs, id_col)
 
 
-def _chunked_id_refs(ds, col: str, chunk_rows: int, on_batch=None) -> list:
+def _chunked_id_refs(ds, col: str, chunk_rows: int, on_batch=None, payload: str | None = None) -> list:
     """Pull one int64 id column into bounded SORTED numpy chunks via
     ray.put (driver peak = one chunk plus the buffer being built) — the
     shared broadcast shape behind every loser/blocklist anti-join.
     ``on_batch`` optionally observes each non-empty pyarrow batch so a
-    caller can derive flags in the same pass instead of re-reading."""
+    caller can derive flags in the same pass instead of re-reading.
+    With ``payload`` (a second int64 column) each chunk is the pair
+    ``(ids, payload)`` in id order, looked up with :func:`_probe`."""
     import ray
+
+    cols = [col] if payload is None else [col, payload]
+
+    def put(buf: list) -> ray.ObjectRef:
+        ids, *rest = (np.concatenate(parts) for parts in zip(*buf))
+        if payload is None:
+            return ray.put(np.sort(ids))
+        order = np.argsort(ids)
+        return ray.put((ids[order], rest[0][order]))
 
     chunk_rows = max(int(chunk_rows), 1_000_000)
     refs, buf, buffered = [], [], 0
@@ -1605,14 +1637,21 @@ def _chunked_id_refs(ds, col: str, chunk_rows: int, on_batch=None) -> list:
             continue
         if on_batch is not None:
             on_batch(b)
-        buf.append(b.column(col).to_numpy(zero_copy_only=False))
+        buf.append([b.column(c).to_numpy(zero_copy_only=False) for c in cols])
         buffered += b.num_rows
         if buffered >= chunk_rows:
-            refs.append(ray.put(np.sort(np.concatenate(buf))))
+            refs.append(put(buf))
             buf, buffered = [], 0
     if buf:
-        refs.append(ray.put(np.sort(np.concatenate(buf))))
+        refs.append(put(buf))
     return refs
+
+
+def _probe(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``ids`` would sit in one non-empty sorted chunk, and
+    whether it is there."""
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
+    return pos, sorted_ids[pos] == ids
 
 
 def _drop_ids(ds, sorted_id_refs, id_col: str):
@@ -1628,10 +1667,8 @@ def _drop_ids(ds, sorted_id_refs, id_col: str):
         keep = np.ones(len(ids), dtype=bool)
         for ref in sorted_id_refs:
             blocked = ray.get(ref)
-            if not len(blocked):
-                continue
-            pos = np.minimum(np.searchsorted(blocked, ids), len(blocked) - 1)
-            keep &= blocked[pos] != ids
+            if len(blocked):
+                keep &= ~_probe(blocked, ids)[1]
         return batch.filter(pa.array(keep))
 
     return ds.map_batches(drop_blocked, batch_format="pyarrow")

@@ -156,7 +156,7 @@ def _cluster_loser_refs(survivors, labels, text_col: str, id_col: str,
     import ray
 
     from deduce_ray.ops.agg import merge_shards, shard_exchange
-    from deduce_ray.ops.dedup import _chunked_id_refs, _int64
+    from deduce_ray.ops.dedup import _chunked_id_refs, _int64, _probe
 
     if keep == "min_id":
         losers = labels.map_batches(
@@ -165,24 +165,8 @@ def _cluster_loser_refs(survivors, labels, text_col: str, id_col: str,
         )
         return _chunked_id_refs(losers, "doc_id", loser_broadcast_max)
 
-    # (doc_id, cluster_id) chunks sorted by doc_id, as _chunked_id_refs
-    # ships ids: the driver holds one chunk
-    def put_sorted(parts: list) -> ray.ObjectRef:
-        chunk = np.concatenate(parts, axis=1)
-        return ray.put(chunk[:, np.argsort(chunk[0])])
-
-    chunk_rows = max(int(loser_broadcast_max), 1_000_000)
-    label_refs, parts, buffered = [], [], 0
-    for b in labels.iter_batches(batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        parts.append(np.stack([_int64(b.column("doc_id")), _int64(b.column("cluster_id"))]))
-        buffered += b.num_rows
-        if buffered >= chunk_rows:
-            label_refs.append(put_sorted(parts))
-            parts, buffered = [], 0
-    if parts:
-        label_refs.append(put_sorted(parts))
+    # (doc_id, cluster_id) chunks in doc_id order: the driver holds one
+    label_refs = _chunked_id_refs(labels, "doc_id", loser_broadcast_max, payload="cluster_id")
     if not label_refs:
         return []
     n_shards = merge_shards()
@@ -193,10 +177,10 @@ def _cluster_loser_refs(survivors, labels, text_col: str, id_col: str,
         found = np.zeros(len(ids), dtype=bool)
         for ref in label_refs:
             doc, clu = ray.get(ref)
-            pos = np.minimum(np.searchsorted(doc, ids), len(doc) - 1)
-            hit = doc[pos] == ids
+            pos, hit = _probe(doc, ids)
             cluster[hit], found = clu[pos[hit]], found | hit
-        n_chars = pc.fill_null(pc.utf8_length(batch.column(text_col)), 0).to_numpy()
+        # an all-null block's column is null-typed, which utf8_length rejects
+        n_chars = pc.fill_null(pc.utf8_length(batch.column(text_col).cast(pa.string())), 0).to_numpy()
         return pa.table(
             {
                 "shard": np.mod(cluster[found], n_shards),

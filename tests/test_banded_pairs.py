@@ -242,7 +242,7 @@ def _brute_expansion(rep_pairs, edges, intra_value, expand_cap):
 
 
 @pytest.mark.parametrize("placement", ["driver", "distributed_edges", "distributed_intra"])
-@pytest.mark.parametrize("expand_cap", [None, 5])
+@pytest.mark.parametrize("expand_cap", [None, 5, 21])
 @pytest.mark.parametrize(
     "value_col, value_dtype, intra_value, rep_values",
     [("jaccard", "float64", 1.0, [0.75, 0.5, 0.625, 0.875]), ("hamming", "int64", 0, [3, 1, 2, 0])],
@@ -254,8 +254,11 @@ def test_expand_dup_pairs_placements(
     tier limits, equal a brute-force expansion, with and without
     ``expand_cap``, over groups with duplicate-id rows (repeated and self
     edges) and signed ids.  The capped run logs the exact dropped-pair
-    total once, the same on every placement."""
+    total once, the same on every placement.  A cap no group reaches
+    (21: the largest clique's pair count) logs nothing and, on the driver
+    placement, leaves the output lazy."""
     import ray.data
+    from ray.data.dataset import MaterializedDataset
 
     from deduce_ray.ops import dedup
 
@@ -303,15 +306,17 @@ def test_expand_dup_pairs_placements(
     want = _brute_expansion(rep_pairs, edges, intra_value, expand_cap)
     assert got == sorted(want)
     logged = [r.getMessage() for r in caplog.records if "expand_cap=" in r.getMessage()]
-    if expand_cap is None:
-        assert logged == []
-    else:
-        dropped = len(_brute_expansion(rep_pairs, edges, intra_value, None)) - len(want)
-        assert dropped > 0
+    dropped = len(_brute_expansion(rep_pairs, edges, intra_value, None)) - len(want)
+    assert (dropped > 0) == (expand_cap == 5)
+    if dropped:
         assert logged == [
             f"_expand_dup_pairs: expand_cap={expand_cap} dropped {dropped} expanded pair(s) "
             "(larger groups emit a star and skip the cross expansion; connectivity preserved)"
         ]
+    else:
+        assert logged == []
+        if placement == "driver":
+            assert not isinstance(out, MaterializedDataset)
 
 
 @pytest.mark.parametrize("driver_threshold", [0, 1_000_000])

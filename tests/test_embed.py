@@ -292,7 +292,10 @@ def test_semantic_stage_keep_longest(ray_session):
     assert sorted(out["doc_id"]) == [200, 300]
 
 
-def _prep_ids(rows, **kw) -> list:
+def _prep_ids(rows, null_ids=(), **kw) -> list:
+    """Survivor ids of ``prep_corpus`` over ``rows`` in four blocks, plus
+    one block of ``null_ids`` whose text column is null-typed (an
+    all-null block arrives with that type)."""
     import ray.data
 
     from deduce_ray.ops.funnel import prep_corpus
@@ -304,14 +307,18 @@ def _prep_ids(rows, **kw) -> list:
         }
     )
     ds = ray.data.from_arrow(t).repartition(4)
+    if null_ids:
+        nulls = pa.table({"doc_id": pa.array(null_ids, type=pa.int64()), "text": pa.nulls(len(null_ids))})
+        ds = ds.union(ray.data.from_arrow(nulls))
     return sorted(prep_corpus(ds, **kw).to_pandas()["doc_id"])
 
 
 def test_keep_longest_minhash_blocks_nulls_ties(ray_session):
     """neardup_keep='longest' on the MinHash stage over clusters spread
-    across input blocks, beside null and empty texts: the fullest member
-    survives, a tie between the longest members goes to the smaller id,
-    and the word-less rows pass through."""
+    across input blocks, beside null and empty texts (also in a
+    null-typed block): the fullest member survives, a tie between the
+    longest members goes to the smaller id, and the word-less rows pass
+    through."""
     base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 5
     other = "one two three four five six seven eight nine ten " * 5
     rows = [
@@ -327,6 +334,9 @@ def test_keep_longest_minhash_blocks_nulls_ties(ray_session):
     ]
     assert _prep_ids(rows, minhash_threshold=0.5) == [10, 41, 60, 70]
     assert _prep_ids(rows, minhash_threshold=0.5, neardup_keep="longest") == [30, 47, 60, 70]
+    # a null-typed block: 5 survives the null and empty texts it duplicates
+    got = _prep_ids(rows, null_ids=(5, 65), minhash_threshold=0.5, neardup_keep="longest")
+    assert got == [5, 30, 47, 70]
 
 
 def test_keep_longest_semantic_blocks_nulls_ties(ray_session):
@@ -348,6 +358,7 @@ def test_keep_longest_semantic_blocks_nulls_ties(ray_session):
     assert _prep_ids(rows, minhash_threshold=0.9) == sorted(r[0] for r in rows if r[0] != 501)
     assert _prep_ids(rows, **kw) == [100, 310, 500, 600]
     assert _prep_ids(rows, neardup_keep="longest", **kw) == [200, 320, 500, 600]
+    assert _prep_ids(rows, null_ids=(7, 507), neardup_keep="longest", **kw) == [7, 200, 320, 600]
 
 
 def test_sign_sql_boundary_literals():
